@@ -8,9 +8,9 @@ whose 2k roots (with roots at infinity standing in for missing leading
 degrees) come in antipodal pairs under Z -> -1/conj(Z), because the
 conjugation symmetry of t forces  conj(P_k(-1/conj(Z))) Z^{2k} to be
 proportional to P_k(Z).  Stereographic projection Z = tan(theta/2) e^{i phi}
-turns each pair into one axis on the sphere; coupling k copies of the unit
-vectors' rank-1 tensors back up to rank k and projecting t onto the result
-recovers a signed radius.  The decomposition is
+turns each pair into one axis on the sphere; read backwards, the product of
+the axes' quadratics is the polynomial of their stretched tensor s^k_q, and
+projecting t onto s recovers a signed radius.  The decomposition is
 
     t^k_q ~= r_k s^k_q(axes),    r_k real of either sign,
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import cg_value
 from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt
 from .tensors import TensorParams
@@ -272,38 +271,24 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     return axes
 
 
-def _rank1_tensor(axis: Axis) -> np.ndarray:
-    """Spherical components of the unit vector, q ascending -1, 0, +1."""
-    x, y, z = axis.unit_vector
-    return np.array([(x - 1j * y) / math.sqrt(2), z + 0j, -(x + 1j * y) / math.sqrt(2)])
-
-
 def axes_to_tensor(axes, k: int) -> np.ndarray:
     """Stretched coupling s^k_q of the k axes' rank-1 tensors, q ascending.
 
-    Couples one direction at a time through the maximal ranks
-    1, 2, ..., k; the stretched coupling is symmetric under reordering.
+    The product of the quadratics ((x - iy)/sqrt2, sqrt2 z, -(x + iy)/sqrt2)
+    of the unit vectors has the coefficients sqrt(C(2k, k+q)) s^k_q.
     """
     axes = list(axes)
     if len(axes) != k:
         raise DomainError(f"need exactly k = {k} axes, got {len(axes)}")
     if k < 1:
         raise DomainError("rank must be at least one")
-    acc = _rank1_tensor(axes[0])
-    for r, axis in enumerate(axes[1:], start=2):
-        one = _rank1_tensor(axis)
-        new = np.zeros(2 * r + 1, dtype=complex)
-        for q in range(-r, r + 1):
-            total = 0j
-            for q2 in (-1, 0, 1):
-                q1 = q - q2
-                if abs(q1) > r - 1:
-                    continue
-                c = cg_value(HalfInt(2 * (r - 1)), HalfInt(2), HalfInt(2 * r), HalfInt(2 * q1), HalfInt(2 * q2), HalfInt(2 * q))
-                total += c * acc[q1 + r - 1] * one[q2 + 1]
-            new[q + r] = total
-        acc = new
-    return acc
+    r2 = math.sqrt(2.0)
+    prod = np.ones(1, dtype=complex)
+    for axis in axes:
+        x, y, z = axis.unit_vector
+        prod = np.convolve(prod, [(x - 1j * y) / r2, r2 * z, -(x + 1j * y) / r2])
+    # float binomials: C(2k, i) overflows int64 from k = 34
+    return prod / np.sqrt([float(math.comb(2 * k, i)) for i in range(2 * k + 1)])
 
 
 def fit_radius(t_rank, s) -> tuple[float, float]:

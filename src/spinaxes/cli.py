@@ -19,7 +19,7 @@ import numpy as np
 
 from .angular import cg
 from .axes import Axis, collinearity_check, extract_mar, mar_polynomial, polynomial_roots
-from .errors import ConsistencyError, DomainError, SpinAxesError, ValidationError
+from .errors import ConsistencyError, SpinAxesError, ValidationError
 from .fileio import (
     detect_kind,
     dump_state,
@@ -529,9 +529,6 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpinAxesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

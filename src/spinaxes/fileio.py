@@ -36,7 +36,7 @@ from .errors import ValidationError
 from .halfint import HalfInt
 from .pfunc import SphericalExpansion
 from .symmetric import BlochVector, SeparableEnsemble
-from .tensors import SpinDensityMatrix, TensorParams
+from .tensors import SpinDensityMatrix, TensorParams, _check_spin
 
 SCHEMA_VERSION = 1
 
@@ -98,7 +98,13 @@ def _check_fields(obj: dict, required: set, what: str) -> None:
 def _as_number(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{what} must be finite, got {v!r}")
+    return x
 
 
 def _as_int(v, what: str) -> int:
@@ -120,6 +126,7 @@ def load_state(path) -> SpinDensityMatrix:
     obj = _load_json(path)
     _check_fields(obj, {"schema_version", "j_doubled", "matrix"}, "state file")
     dj = _as_int(obj["j_doubled"], "j_doubled")
+    _check_spin(HalfInt(dj))
     rows = obj["matrix"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValidationError("matrix must be a list of rows")

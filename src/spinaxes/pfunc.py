@@ -32,7 +32,7 @@ import numpy as np
 from .angular import cg_value, spherical_harmonic
 from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt, dimension, halfint, m_range
-from .tensors import SpinDensityMatrix, TensorParams, _check_spin
+from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_mirror
 
 NORMALIZATION_TOL = 1e-8
 REALITY_TOL = 1e-10
@@ -147,8 +147,7 @@ class SphericalExpansion:
             a = np.array(block, dtype=complex)
             if a.shape != (2 * l + 1,):
                 raise ValidationError(f"degree {l} block has shape {a.shape}, expected ({2 * l + 1},)")
-            flipped = a[::-1].conj() * (-1.0) ** np.arange(-l, l + 1)
-            if np.abs(a - flipped).max() > 1e-12:
+            if np.abs(a - _conjugation_mirror(a)).max() > 1e-12:
                 raise ValidationError(f"degree {l} violates the reality condition conj(a^l_m) = (-1)^m a^l_-m")
             a.setflags(write=False)
             blocks.append(a)

@@ -21,19 +21,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import warnings
 
 from .angular import MAX_DOUBLED_J, cg_value, wigner_d_matrix
 from .errors import DomainError, NonPhysicalWarning, ValidationError
-from .halfint import HalfInt, dimension, halfint, m_range
+from .halfint import HalfInt, dimension, halfint
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 TENSOR_TOL = 1e-12
+
+
+def _conjugation_mirror(a: np.ndarray) -> np.ndarray:
+    """(-1)^q conj(a_-q), q ascending; a block obeying the conjugation identity is its own."""
+    k = (len(a) - 1) // 2
+    return a[::-1].conj() * (-1.0) ** np.arange(-k, k + 1)
 
 
 def _check_spin(j: HalfInt) -> None:
@@ -64,6 +70,8 @@ class SpinDensityMatrix:
         dim = dimension(j)
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix shape {m.shape} does not match dimension {dim} for j = {j}")
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix has a non-finite entry")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise ValidationError("matrix fails hermiticity within 1e-12")
         if abs(m.trace() - 1.0) > TRACE_TOL:
@@ -110,14 +118,15 @@ class TensorParams:
             a = np.array(block, dtype=complex)
             if a.shape != (2 * k + 1,):
                 raise ValidationError(f"rank {k} block has shape {a.shape}, expected ({2 * k + 1},)")
+            if not np.isfinite(a).all():
+                raise ValidationError(f"rank {k} block has a non-finite entry")
             a.setflags(write=False)
             rks.append(a)
         object.__setattr__(self, "ranks", tuple(rks))
         if abs(self.ranks[0][0] - 1.0) > TENSOR_TOL:
             raise ValidationError(f"t^0_0 = {self.ranks[0][0]:.6g}, expected 1 (normalization)")
         for k, a in enumerate(self.ranks):
-            flipped = a[::-1].conj() * (-1.0) ** np.arange(-k, k + 1)
-            if np.abs(a - flipped).max() > TENSOR_TOL:
+            if np.abs(a - _conjugation_mirror(a)).max() > TENSOR_TOL:
                 raise ValidationError(f"rank {k} violates conj(t^k_q) = (-1)^q t^k_-q")
 
     @classmethod
@@ -128,6 +137,7 @@ class TensorParams:
         only value normalization allows.
         """
         j = halfint(j)
+        _check_spin(j)
         blocks = [np.zeros(2 * k + 1, dtype=complex) for k in range(j.doubled + 1)]
         blocks[0][0] = 1.0
         for (k, q), v in table.items():
@@ -164,20 +174,29 @@ class TensorParams:
         return max(float(np.abs(a - b).max()) for a, b in zip(self.ranks, other.ranks))
 
 
-@lru_cache(maxsize=None)
-def _tau_cached(dj: int, k: int, q: int) -> np.ndarray:
+def _tau_matrix(dj: int, k: int, q: int) -> np.ndarray:
+    """Real matrix of tau^k_q on spin dj/2, from exact CG values."""
     dim = dj + 1
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim))
     scale = np.sqrt(2 * k + 1)
-    ms = list(range(dj, -dj - 1, -2))
-    for col, dm in enumerate(ms):
+    for col, dm in enumerate(range(dj, -dj - 1, -2)):
         dmp = dm + 2 * q
-        if abs(dmp) > dj:
-            continue
-        row = (dj - dmp) // 2
-        out[row, col] = scale * cg_value(HalfInt(dj), HalfInt(2 * k), HalfInt(dj), HalfInt(dm), HalfInt(2 * q), HalfInt(dmp))
-    out.setflags(write=False)
+        if abs(dmp) <= dj:
+            row = (dj - dmp) // 2
+            out[row, col] = scale * cg_value(HalfInt(dj), HalfInt(2 * k), HalfInt(dj), HalfInt(dm), HalfInt(2 * q), HalfInt(dmp))
     return out
+
+
+@lru_cache(maxsize=None)
+def _tau_table(dj: int) -> np.ndarray:
+    """Read-only real table; row k^2 + k + q, as in np.concatenate(t.ranks), is vec(tau^k_q)."""
+    dim = dj + 1
+    table = np.empty((dim * dim, dim * dim))
+    for k in range(dim):
+        for q in range(-k, k + 1):
+            table[k * k + k + q] = _tau_matrix(dj, k, q).ravel()
+    table.setflags(write=False)
+    return table
 
 
 def tau_operator(j, k: int, q: int) -> np.ndarray:
@@ -193,26 +212,21 @@ def tau_operator(j, k: int, q: int) -> np.ndarray:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
     if abs(q) > k:
         raise DomainError(f"order q = {q} outside |q| <= {k}")
-    return _tau_cached(j.doubled, k, q).copy()
+    return _tau_matrix(j.doubled, k, q).astype(complex)
 
 
 def rho_to_t(rho: SpinDensityMatrix) -> TensorParams:
     """Tensor parameters t^k_q = Tr(rho tau^k_q)."""
     dj = rho.j.doubled
-    blocks = []
-    for k in range(dj + 1):
-        a = np.empty(2 * k + 1, dtype=complex)
-        for q in range(-k, k + 1):
-            tau = _tau_cached(dj, k, q)
-            a[q + k] = np.sum(rho.matrix * tau.T)
-        blocks.append(a)
+    # Tr(rho tau) = vec(tau) . vec(rho^T), real and imaginary parts apart
+    v = rho.matrix.T.ravel()
+    re, im = np.stack((v.real, v.imag)) @ _tau_table(dj).T
+    flat = re + 1j * im
+    blocks = [flat[k * k : (k + 1) ** 2] for k in range(dj + 1)]
     # Tr(rho tau^0_0) is exactly the trace, and the conjugation identity
     # holds to rounding; snap both so the table validates cleanly.
     blocks[0][0] = 1.0
-    for k in range(1, dj + 1):
-        signs = (-1.0) ** np.arange(-k, k + 1)
-        blocks[k] = 0.5 * (blocks[k] + blocks[k][::-1].conj() * signs)
-    return TensorParams(rho.j, tuple(blocks))
+    return TensorParams(rho.j, tuple(0.5 * (b + _conjugation_mirror(b)) for b in blocks))
 
 
 def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
@@ -221,13 +235,11 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
     Warns :class:`NonPhysicalWarning` when the result has an eigenvalue
     below -1e-10; Hermiticity and unit trace always hold by construction.
     """
-    dj = t.j.doubled
-    dim = dj + 1
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in range(dj + 1):
-        for q in range(-k, k + 1):
-            acc += t.ranks[k][q + k] * _tau_cached(dj, k, q).conj().T
-    acc /= dim
+    dim = t.j.doubled + 1
+    # tau^dag = tau^T: the product with the table is vec((2j+1) rho^T)
+    flat = np.concatenate(t.ranks)
+    re, im = np.stack((flat.real, flat.imag)) @ _tau_table(t.j.doubled)
+    acc = (re + 1j * im).reshape(dim, dim).T / dim
     acc = 0.5 * (acc + acc.conj().T)
     rho = SpinDensityMatrix(t.j, acc)
     if not rho.is_physical:

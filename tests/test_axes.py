@@ -199,11 +199,15 @@ class TestAxesToTensor:
         r = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(s, [r, 0.0, -r], atol=1e-15)
 
-    def test_two_vertical_axes(self):
-        s = axes_to_tensor([Axis(0.0, 0.0)] * 2, 2)
-        want = np.zeros(5, dtype=complex)
-        want[2] = math.sqrt(2.0 / 3.0)
+    @pytest.mark.parametrize("k", [2, 34, 60])
+    def test_two_vertical_axes(self, k):
+        # k vertical axes: s^k_0 = 2^(k/2) / sqrt(C(2k, k)), every other q zero;
+        # C(2k, k) exceeds int64 from k = 34
+        s = axes_to_tensor([Axis(0.0, 0.0)] * k, k)
+        want = np.zeros(2 * k + 1, dtype=complex)
+        want[k] = 2.0 ** (k / 2) / math.sqrt(math.comb(2 * k, k))
         np.testing.assert_allclose(s, want, atol=1e-15)
+        assert s[k].real == pytest.approx(want[k].real, rel=1e-13)
 
     def test_order_independent(self):
         a = Axis.from_direction([1.0, 0.5, 0.8])

@@ -2,17 +2,32 @@
 
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-def run_cli(*args, expect=0):
+
+def run_cli(*args, expect=0, memory_limit=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    limit = None
+    if memory_limit is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
     completed = subprocess.run(
         [sys.executable, "-m", "spinaxes.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
+        preexec_fn=limit,
     )
     assert completed.returncode == expect, (
         f"exit {completed.returncode}, expected {expect}\n"
@@ -115,6 +130,39 @@ class TestRho2tAndBack:
     def test_missing_file_exit_2(self):
         res = run_cli("rho2t", "/no/such/file.json", expect=2)
         assert "cannot read" in res.stderr
+
+
+NAN_STATE = {"schema_version": 1, "j_doubled": 1, "matrix": [[[0.5, 0.0], [math.nan, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+NEGATIVE_STATE = {"schema_version": 1, "j_doubled": -3, "matrix": []}
+NEGATIVE_TENSOR = {"schema_version": 1, "j_doubled": -3, "entries": []}
+# before its j check, a table this size would allocate about 160 GB of blocks
+HUGE_TENSOR = {"schema_version": 1, "j_doubled": 100000, "entries": []}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("rho2t", NAN_STATE),
+            ("mar", NAN_STATE),
+            ("rho2t", NEGATIVE_STATE),
+            ("mar", NEGATIVE_STATE),
+            ("t2rho", NEGATIVE_TENSOR),
+            ("mar", NEGATIVE_TENSOR),
+            ("t2rho", HUGE_TENSOR),
+            ("mar", HUGE_TENSOR),
+        ],
+        ids=["nan-rho2t", "nan-mar", "neg-state-rho2t", "neg-state-mar",
+             "neg-tensor-t2rho", "neg-tensor-mar", "huge-tensor-t2rho", "huge-tensor-mar"],
+    )
+    def test_one_error_line_and_exit_2(self, tmp_path, command, doc):
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(doc))
+        res = run_cli(command, str(p), expect=2, memory_limit=2 << 30)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
 
 
 class TestMar:

@@ -156,7 +156,7 @@ class TestRoundTrip:
 
     def test_t_to_rho_to_t_random(self):
         rng = np.random.default_rng(11)
-        for dj in (1, 2, 3):
+        for dj in (1, 2, 3, 12):
             rho = SpinDensityMatrix(h(dj), random_density(rng, dj + 1))
             t = rho_to_t(rho)
             again = rho_to_t(t_to_rho(t))
