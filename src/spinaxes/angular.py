@@ -11,11 +11,14 @@ Conventions
 * Spherical harmonics include the Condon-Shortley phase, so
   ``Y(1, 1) = -sqrt(3/8pi) sin(theta) e^{i phi}``.
 
-Clebsch-Gordan coefficients are evaluated in exact rational arithmetic and
-returned as an :class:`ExactCoefficient`, a sign together with the exact
-square of the magnitude.  Spin quantum numbers are supported up to doubled
-value 60 (j = 30); coupling ranks that arise from such spins go up to
-doubled value 120.
+Exact rational arithmetic is used for Clebsch-Gordan coefficients only:
+they are returned as an :class:`ExactCoefficient`, a sign together with the
+exact square of the magnitude.  Wigner d matrices come in floating point
+from Risbo's recursion, which couples one spin 1/2 at a time and so builds
+every d^j up to a given j in one pass.  Spin quantum numbers are supported
+up to doubled value 60 (j = 30); coupling ranks that arise from such spins
+go up to doubled value 120 (rank 60), which is also the largest
+spherical-harmonic degree.
 
 All functions are pure and cache only immutable data, so they are safe to
 call from multiple threads.
@@ -36,6 +39,8 @@ from .halfint import HalfInt, dimension, halfint, m_range
 MAX_DOUBLED_J = 60
 # Couplings of two supported spins reach twice the single-spin cap.
 _MAX_DOUBLED_ARG = 2 * MAX_DOUBLED_J
+# Largest spherical-harmonic degree, the rank of such a coupling.
+MAX_DEGREE = _MAX_DOUBLED_ARG // 2
 
 _f = math.factorial
 
@@ -157,26 +162,28 @@ def cg_value(j1, j2, j, m1, m2, m) -> float:
     return float(cg(j1, j2, j, m1, m2, m))
 
 
-@lru_cache(maxsize=None)
-def _d_terms(dj: int, dmp: int, dm: int) -> tuple[tuple[float, int, int], ...]:
-    """Terms (coefficient, cos power, sin power) of the d-matrix sum.
+def _d_ladder(dj_max: int, beta: float):
+    """Yield d^{dj/2}(beta) for dj = 0 .. dj_max, rows and columns m = +j .. -j.
 
-    d^j_{mp,m}(b) = sum_s coeff_s cos(b/2)^{2j+m-mp-2s} sin(b/2)^{mp-m+2s}.
-    Each coefficient is the square root of an exact rational, evaluated in
-    one correctly rounded step so large factorials never overflow.
+    Each step couples one more spin 1/2 to the stretched state (Risbo 1996),
+    so d^j is four shifted copies of d^{j-1/2} times the spin-1/2 entries
+    cos(beta/2), sin(beta/2), weighted by the stretched Clebsch-Gordan
+    products sqrt((j +- m')(j +- m)) / 2j.  Square roots of the products
+    keep the weights exact integers at beta = 0, so d(0) is the identity.
     """
-    jpm = (dj + dm) // 2
-    jmmp = (dj - dmp) // 2
-    mpmm = (dmp - dm) // 2
-    num = Fraction(_f((dj + dmp) // 2) * _f(jmmp) * _f(jpm) * _f((dj - dm) // 2))
-    out = []
-    for s in range(max(0, -mpmm), min(jpm, jmmp) + 1):
-        den = _f(jpm - s) * _f(s) * _f(mpmm + s) * _f(jmmp - s)
-        coeff = math.sqrt(float(num / (den * den)))
-        if (mpmm + s) % 2:
-            coeff = -coeff
-        out.append((coeff, dj + (dm - dmp) // 2 - 2 * s, mpmm + 2 * s))
-    return tuple(out)
+    p, q = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    d = np.ones((1, 1))
+    yield d
+    for dj in range(1, dj_max + 1):
+        up = np.arange(dj, 0, -1.0)  # j + m for the first dj rows: dj .. 1
+        down = up[::-1]  # j - m for the last dj rows: 1 .. dj
+        nxt = np.zeros((dj + 1, dj + 1))
+        nxt[:-1, :-1] += p * np.sqrt(np.outer(up, up)) * d
+        nxt[:-1, 1:] -= q * np.sqrt(np.outer(up, down)) * d
+        nxt[1:, :-1] += q * np.sqrt(np.outer(down, up)) * d
+        nxt[1:, 1:] += p * np.sqrt(np.outer(down, down)) * d
+        d = nxt / dj
+        yield d
 
 
 def wigner_d(j, mp, m, beta: float) -> float:
@@ -184,23 +191,17 @@ def wigner_d(j, mp, m, beta: float) -> float:
     j, mp, m = halfint(j), halfint(mp), halfint(m)
     _check_jm(j.doubled, mp.doubled, "j")
     _check_jm(j.doubled, m.doubled, "j")
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    total = 0.0
-    for coeff, cos_pow, sin_pow in _d_terms(j.doubled, mp.doubled, m.doubled):
-        total += coeff * c**cos_pow * s**sin_pow
-    return total
+    d = wigner_d_matrix(j, beta)
+    return float(d[(j.doubled - mp.doubled) // 2, (j.doubled - m.doubled) // 2])
 
 
 def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Real matrix d^j(beta) with rows and columns ordered m = +j .. -j."""
     j = halfint(j)
-    ms = m_range(j)
-    out = np.empty((len(ms), len(ms)))
-    for a, mp in enumerate(ms):
-        for b, m in enumerate(ms):
-            out[a, b] = wigner_d(j, mp, m, beta)
-    return out
+    _check_j(j.doubled)
+    for d in _d_ladder(j.doubled, beta):
+        pass
+    return d
 
 
 def wigner_D(j, mp, m, phi: float, theta: float, psi: float) -> complex:
@@ -241,7 +242,7 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     """
     if not isinstance(l, int) or not isinstance(m, int):
         raise DomainError("spherical harmonic degree and order must be ints")
-    if l < 0 or l > _MAX_DOUBLED_ARG // 2:
+    if l < 0 or l > MAX_DEGREE:
         raise DomainError(f"degree l = {l} outside the supported range")
     if abs(m) > l:
         raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")

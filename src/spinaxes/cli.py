@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .angular import cg
+from .angular import MAX_DEGREE, cg
 from .axes import Axis, collinearity_check, extract_mar, mar_polynomial, polynomial_roots
 from .errors import ConsistencyError, SpinAxesError, ValidationError
 from .fileio import (
@@ -237,6 +237,8 @@ def cmd_mar(args) -> int:
 
 def cmd_pfunc(args) -> int:
     j = HalfInt.parse(args.j)
+    if args.lmax is not None and not 0 <= args.lmax <= MAX_DEGREE:
+        raise ValidationError(f"--lmax must be in 0 .. {MAX_DEGREE}, got {args.lmax}")
     flags: list[str] = []
     source = args.source
     y2 = _Y2_RE.match(source)

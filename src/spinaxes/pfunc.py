@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .angular import cg_value, spherical_harmonic
+from .angular import MAX_DEGREE, cg_value
 from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt, dimension, halfint, m_range
 from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_mirror
@@ -37,6 +37,8 @@ from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_
 NORMALIZATION_TOL = 1e-8
 REALITY_TOL = 1e-10
 NEGATIVITY_FLOOR = -1e-12
+# Legendre-table size (2^21 values, 16 MB) at which evaluate splits its points
+_TABLE_ENTRIES = 1 << 21
 
 
 def coherent_state(j, theta: float, phi: float) -> np.ndarray:
@@ -67,6 +69,34 @@ def multipole_scale(j, k: int) -> float:
     if not 0 <= k <= j.doubled:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
     return math.sqrt(4 * math.pi) * cg_value(j, HalfInt(2 * k), j, j, HalfInt(0), j)
+
+
+def _check_l_max(l_max) -> None:
+    if not isinstance(l_max, int) or not 0 <= l_max <= MAX_DEGREE:
+        raise DomainError(f"l_max must be an int in 0 .. {MAX_DEGREE}, got {l_max!r}")
+
+
+def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
+    """Y^l_m(theta, 0) as table[l, m, i] for 0 <= m <= l <= l_max and 1-d theta; zero for m > l.
+
+    The sectoral Y^m_m come down the diagonal from Y^0_0, the rest from the
+    normalized three-term recursion in l, for all orders and nodes at once.
+    """
+    x, s = np.cos(theta), np.sin(theta)
+    m = np.arange(l_max + 1)
+    steps = np.empty((l_max + 1, len(theta)))
+    steps[0] = 1.0 / math.sqrt(4 * math.pi)
+    steps[1:] = -np.sqrt((2 * m[1:] + 1) / (2 * m[1:]))[:, None] * s
+    table = np.zeros((l_max + 1, l_max + 1, len(theta)))
+    table[m, m] = np.cumprod(steps, axis=0)
+    for l in range(1, l_max + 1):
+        mm = m[:l]
+        a = np.sqrt((4 * l * l - 1) / (l * l - mm * mm))[:, None]
+        table[l, :l] = a * x * table[l - 1, :l]
+        if l > 1:
+            b = np.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))[:, None]
+            table[l, :l] -= a * b * table[l - 2, :l]
+    return table
 
 
 @dataclass(frozen=True)
@@ -138,8 +168,7 @@ class SphericalExpansion:
     blocks: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l_max, int) or self.l_max < 0:
-            raise DomainError(f"l_max must be a non-negative int, got {self.l_max!r}")
+        _check_l_max(self.l_max)
         if len(self.blocks) != self.l_max + 1:
             raise ValidationError(f"expected blocks for l = 0 .. {self.l_max}")
         blocks = []
@@ -155,6 +184,7 @@ class SphericalExpansion:
 
     @classmethod
     def from_table(cls, l_max: int, table: Mapping) -> "SphericalExpansion":
+        _check_l_max(l_max)
         blocks = [np.zeros(2 * l + 1, dtype=complex) for l in range(l_max + 1)]
         for (l, m), v in table.items():
             if not 0 <= l <= l_max:
@@ -193,14 +223,24 @@ class SphericalExpansion:
 
     def evaluate(self, theta, phi) -> np.ndarray:
         """lambda(theta, phi) for scalar or array angles."""
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        total = np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
-        for l in range(self.l_max + 1):
-            for m in range(-l, l + 1):
-                a = self.blocks[l][m + l]
-                if a != 0:
-                    total = total + a * np.conj(spherical_harmonic(l, m, theta, phi))
+        theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+        # conj(Y^l_m) = Y^l_|m|(theta, 0) e^{-i m phi}, times (-1)^m for m < 0
+        orders = [
+            (m, (-1) ** min(m, 0) * np.array([b[l + m] for l, b in enumerate(self.blocks) if l >= abs(m)]))
+            for m in range(-self.l_max, self.l_max + 1)
+        ]
+        flat_theta, flat_phi = theta.ravel(), phi.ravel()
+        total = np.zeros(theta.size, dtype=complex)
+        # blocks of points keep the Legendre table near _TABLE_ENTRIES values
+        step = max(1, _TABLE_ENTRIES // (self.l_max + 1) ** 2)
+        for lo in range(0, theta.size, step):
+            ph = flat_phi[lo : lo + step]
+            # a grid repeats each theta along phi; the table needs each only once
+            nodes, where = np.unique(flat_theta[lo : lo + step], return_inverse=True)
+            table = _legendre_table(self.l_max, nodes)
+            for m, a in orders:
+                total[lo : lo + step] += (a @ table[abs(m) :, abs(m)])[where] * np.exp(-1j * m * ph)
+        total = total.reshape(theta.shape)
         return total[()] if total.ndim == 0 else total
 
 
@@ -236,6 +276,25 @@ def _checked_values(lam, grid: QuadratureGrid) -> tuple[np.ndarray, float]:
     return vals, total
 
 
+def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> list[np.ndarray]:
+    """Blocks of sum_nodes w Y^l_m for l = 0 .. l_max, m ascending, from real node weights w.
+
+    The sum over phi is one product with e^{i m phi}, the sum over theta one
+    contraction with the Legendre table; a real w needs only m >= 0, and
+    the conjugation identity supplies the rest.
+    """
+    m = np.arange(l_max + 1)
+    per_m = w @ np.exp(1j * np.outer(grid.phi, m))  # (n_theta, m)
+    a = np.einsum("lmi,im->lm", _legendre_table(l_max, grid.theta), per_m)
+    blocks = []
+    for l in range(l_max + 1):
+        b = np.zeros(2 * l + 1, dtype=complex)
+        b[l:] = a[l, : l + 1]
+        b[:l] = _conjugation_mirror(b)[:l]
+        blocks.append(b)
+    return blocks
+
+
 def default_grid(l_max: int, j) -> QuadratureGrid:
     """Grid exact for products of a degree-l_max weight with rank <= 2j harmonics."""
     j = halfint(j)
@@ -256,15 +315,8 @@ def t_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> TensorPar
             raise DomainError("a quadrature grid is required for callable weight functions")
         grid = default_grid(lam.l_max, j)
     vals, total = _checked_values(lam, grid)
-    th, ph = grid.mesh()
-    w = grid.weights() * vals / total
-    blocks = []
-    for k in range(j.doubled + 1):
-        ck = multipole_scale(j, k)
-        a = np.empty(2 * k + 1, dtype=complex)
-        for q in range(-k, k + 1):
-            a[q + k] = ck * np.sum(w * spherical_harmonic(k, q, th, ph))
-        blocks.append(a)
+    a = _analysis(grid.weights() * vals / total, grid, j.doubled)
+    blocks = [multipole_scale(j, k) * a[k] for k in range(j.doubled + 1)]
     blocks[0][0] = 1.0
     return TensorParams(j, tuple(blocks))
 
@@ -293,20 +345,11 @@ def expansion_from_function(f, l_max: int, grid: QuadratureGrid | None = None) -
     a^l_m = integral f Y^l_m dOmega; exact for band-limited f on the
     default grid, a least-squares style truncation otherwise.
     """
-    if not isinstance(l_max, int) or l_max < 0:
-        raise DomainError(f"l_max must be a non-negative int, got {l_max!r}")
+    _check_l_max(l_max)
     if grid is None:
         grid = QuadratureGrid.for_band_limit(2 * l_max)
     vals = _values_on_grid(f, grid)
-    th, ph = grid.mesh()
-    w = grid.weights() * vals
-    blocks = []
-    for l in range(l_max + 1):
-        a = np.empty(2 * l + 1, dtype=complex)
-        for m in range(-l, l + 1):
-            a[m + l] = np.sum(w * spherical_harmonic(l, m, th, ph))
-        blocks.append(a)
-    return SphericalExpansion(l_max, tuple(blocks))
+    return SphericalExpansion(l_max, tuple(_analysis(grid.weights() * vals, grid, l_max)))
 
 
 def ylm_squared_t(l: int, m: int, j) -> TensorParams:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
 import warnings
 
-from .angular import MAX_DOUBLED_J, cg_value, wigner_d_matrix
+from .angular import MAX_DOUBLED_J, _d_ladder, cg_value
 from .errors import DomainError, NonPhysicalWarning, ValidationError
 from .halfint import HalfInt, dimension, halfint
 
@@ -255,15 +256,15 @@ def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorPar
     """Tensor parameters of the actively rotated state U rho U^dag.
 
     Each rank transforms as t'^k_q = sum_q' conj(D^k_{q q'}) t^k_{q'} with
-    the same Euler angles that rotate the state.
+    the same Euler angles that rotate the state.  One d ladder serves every
+    rank: its even steps are the integer spins k.
     """
-    blocks = [t.ranks[0].copy()]
-    for k in range(1, t.max_rank + 1):
-        d = wigner_d_matrix(HalfInt(2 * k), theta)  # rows/cols q = +k .. -k
-        qs = np.arange(k, -k - 1, -1, dtype=float)
-        D = np.exp(-1j * phi * qs)[:, None] * d * np.exp(-1j * psi * qs)[None, :]
+    blocks = []
+    for k, d in enumerate(islice(_d_ladder(2 * t.max_rank, theta), None, None, 2)):
+        qs = np.arange(k, -k - 1, -1, dtype=float)  # rows/cols of d: q = +k .. -k
         vec = t.ranks[k][::-1]  # descending q to match the matrix ordering
-        blocks.append((D.conj() @ vec)[::-1])
+        # conj(D) = e^{i phi q} d e^{i psi q'}, d being real
+        blocks.append((np.exp(1j * phi * qs) * (d @ (np.exp(1j * psi * qs) * vec)))[::-1])
     return TensorParams(t.j, tuple(blocks))
 
 

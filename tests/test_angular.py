@@ -188,6 +188,11 @@ class TestWignerD:
                 ref = small_d_by_expm(dj, beta)
                 assert np.abs(got - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("dj", [40, 60, 80, 120])
+    def test_high_rank_against_expm_oracle(self, dj):
+        for beta in (0.4, math.pi / 2, -2.3, 3.1):
+            assert np.abs(wigner_d_matrix(h(dj), beta) - small_d_by_expm(dj, beta)).max() < 1e-12
+
     def test_beta_zero_is_identity(self):
         for dj in [0, 1, 4, 9]:
             assert np.abs(wigner_d_matrix(h(dj), 0.0) - np.eye(dj + 1)).max() == 0.0

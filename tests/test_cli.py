@@ -137,6 +137,8 @@ NEGATIVE_STATE = {"schema_version": 1, "j_doubled": -3, "matrix": []}
 NEGATIVE_TENSOR = {"schema_version": 1, "j_doubled": -3, "entries": []}
 # before its j check, a table this size would allocate about 160 GB of blocks
 HUGE_TENSOR = {"schema_version": 1, "j_doubled": 100000, "entries": []}
+# a block per degree up to this l_max would take tens of GB
+HUGE_EXPANSION = {"schema_version": 1, "l_max": 100000000, "coeffs": []}
 
 
 class TestMalformedFiles:
@@ -159,6 +161,21 @@ class TestMalformedFiles:
         p = tmp_path / "input.json"
         p.write_text(json.dumps(doc))
         res = run_cli(command, str(p), expect=2, memory_limit=2 << 30)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "source, flags",
+        [("expansion", []), ("uniform", ["--lmax", "100000000"]), ("uniform", ["--lmax", "-5"])],
+        ids=["huge-l_max-file", "huge-lmax-flag", "negative-lmax-flag"],
+    )
+    def test_pfunc_degree_bound(self, tmp_path, source, flags):
+        if source == "expansion":
+            source = tmp_path / "input.json"
+            source.write_text(json.dumps(HUGE_EXPANSION))
+        res = run_cli("pfunc", str(source), "--j", "1", *flags, expect=2, memory_limit=2 << 30)
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1

@@ -25,6 +25,7 @@ from spinaxes import (
     t_from_distribution,
     ylm_squared_t,
 )
+from spinaxes.pfunc import _legendre_table
 from spinaxes.symmetric import BlochVector
 
 from oracles import jx_matrix, jy_matrix, jz_matrix
@@ -182,9 +183,42 @@ class TestSphericalExpansion:
         assert lam.evaluate(theta, phi) == pytest.approx(want, abs=1e-14)
         assert abs(lam.evaluate(theta, phi).imag) < 1e-15
 
+    def test_evaluate_across_point_blocks(self):
+        # 5000 scattered points at degree 30 take three blocks of the Legendre table
+        rng = np.random.default_rng(17)
+        table = {(0, 0): 1.0 / math.sqrt(4.0 * math.pi)}
+        for l in range(1, 31):
+            for m in range(0, l + 1):
+                z = 0.01 * complex(rng.normal(), rng.normal() if m else 0.0)
+                table[(l, m)] = z
+                table[(l, -m)] = (-1.0) ** m * z.conjugate()
+        lam = SphericalExpansion.from_table(30, table)
+        theta = rng.uniform(0.0, math.pi, 5000)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 5000)
+        got = lam.evaluate(theta, phi)
+        for i in (0, 2500, 4999):
+            want = sum(v * np.conj(spherical_harmonic(l, m, theta[i], phi[i])) for (l, m), v in table.items())
+            assert got[i] == pytest.approx(want, abs=1e-13)
+
     def test_zero_normalization_rejected(self):
         with pytest.raises(DomainError, match="zero mean"):
             SphericalExpansion.from_table(0, {(0, 0): 0.0}).normalized()
+
+
+class TestLegendreTable:
+    def test_matches_spherical_harmonic_to_degree_60(self):
+        theta = np.array([0.0, 0.3, 1.2, 2.9, math.pi])
+        table = _legendre_table(60, theta)
+        for l in range(61):
+            for m in range(l + 1):
+                assert np.abs(table[l, m] - spherical_harmonic(l, m, theta, 0.0).real).max() < 1e-12
+            assert not table[l, l + 1 :].any()
+
+    def test_degree_cap(self):
+        with pytest.raises(DomainError, match="l_max"):
+            SphericalExpansion.from_table(61, {})
+        with pytest.raises(DomainError, match="l_max"):
+            expansion_from_function(lambda th, ph: np.ones_like(th), 61)
 
 
 class TestExpansionFromFunction:
@@ -195,6 +229,19 @@ class TestExpansionFromFunction:
         for l in range(4):
             for m in range(-l, l + 1):
                 assert out.item(l, m) == pytest.approx(src.item(l, m), abs=1e-12)
+
+    def test_round_trip_at_degree_20(self):
+        rng = np.random.default_rng(19)
+        table = {(0, 0): 1.0 / math.sqrt(4.0 * math.pi)}
+        for l in range(1, 21):
+            for m in range(0, l + 1):
+                z = 0.01 * complex(rng.normal(), rng.normal() if m else 0.0)
+                table[(l, m)] = z
+                table[(l, -m)] = (-1.0) ** m * z.conjugate()
+        src = SphericalExpansion.from_table(20, table)
+        out = expansion_from_function(src.evaluate, 20)
+        for l in range(21):
+            np.testing.assert_allclose(out.blocks[l], src.blocks[l], rtol=0, atol=1e-12)
 
     def test_requires_real_function(self):
         with pytest.raises(ValidationError, match="complex"):
@@ -229,6 +276,15 @@ class TestDistributionRoutes:
             direct = t_from_distribution(lam, h(dj))
             via_rho = rho_to_t(rho_from_distribution(lam, h(dj)))
             assert direct.max_abs_diff(via_rho) < 1e-12
+
+    def test_closed_form_at_high_spin(self):
+        # t^k_q = c_k a^k_q through the expansion's degree, zero above it
+        rng = np.random.default_rng(14)
+        lam = self._random_classical(rng, 4)
+        t = t_from_distribution(lam, h(40))
+        for k in range(41):
+            want = [multipole_scale(h(40), k) * lam.item(k, q) if k <= 4 else 0.0 for q in range(-k, k + 1)]
+            np.testing.assert_allclose(t.rank(k), want, rtol=0, atol=1e-12)
 
     def test_uniform_gives_maximally_mixed(self):
         for dj in (1, 2, 4):

@@ -20,7 +20,7 @@ from spinaxes import (
     tau_operator,
 )
 
-from oracles import jplus_matrix, jz_matrix, random_density
+from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
 
 h = HalfInt
 
@@ -202,6 +202,18 @@ class TestRotation:
             direct = rho_to_t(rotated)
             via_t = rotate_t(rho_to_t(rho), phi, theta, psi)
             assert direct.max_abs_diff(via_t) < 1e-13
+
+    def test_matches_expm_rotation_at_top_spin(self):
+        from scipy.linalg import expm
+
+        dj = 60
+        rng = np.random.default_rng(41)
+        rho = SpinDensityMatrix(h(dj), random_density(rng, dj + 1))
+        phi, theta, psi = 0.7, 2.1, -1.3
+        jz, jy = jz_matrix(dj), jy_matrix(dj)
+        u = expm(-1j * phi * jz) @ expm(-1j * theta * jy) @ expm(-1j * psi * jz)
+        rotated = SpinDensityMatrix(h(dj), u @ rho.matrix @ u.conj().T)
+        assert rho_to_t(rotated).max_abs_diff(rotate_t(rho_to_t(rho), phi, theta, psi)) < 1e-12
 
     def test_preserves_rank_norms(self):
         rng = np.random.default_rng(29)
