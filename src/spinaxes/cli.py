@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -527,7 +528,15 @@ def main(argv=None) -> int:
     argv = [" " + tok if _NEGATIVE_TOKEN.match(tok) else tok for tok in argv]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early; send whatever is still buffered to
+        # devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import cg_value
 from .errors import DomainError, ValidationError
 from .halfint import HalfInt
 from .pfunc import coherent_state
@@ -67,6 +66,17 @@ def qubit_density(direction: BlochVector) -> np.ndarray:
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
+def _spin_half_cg(dj: int, djn: int, dmn: int, dms: int) -> float:
+    """<j m - s, 1/2 s | j' m> in doubled units, j' = j +- 1/2 (closed form).
+
+    <j m-+1/2, 1/2 +-1/2 | j+1/2 m> = sqrt((j +- m + 1/2)/(2j+1)) and
+    <j m-+1/2, 1/2 +-1/2 | j-1/2 m> = -+sqrt((j -+ m + 1/2)/(2j+1)).
+    """
+    if djn > dj:
+        return math.sqrt((dj + dms * dmn + 1) / (2 * (dj + 1)))
+    return -dms * math.sqrt((dj - dms * dmn + 1) / (2 * (dj + 1)))
+
+
 def symmetric_subspace_unitary(n_qubits: int) -> np.ndarray:
     """Unitary mapping the product basis to total angular momentum states.
 
@@ -97,8 +107,7 @@ def symmetric_subspace_unitary(n_qubits: int) -> np.ndarray:
                         dm = dmn - dms
                         if abs(dm) > dj:
                             continue
-                        c = cg_value(HalfInt(dj), HalfInt(1), HalfInt(djn), HalfInt(dm), HalfInt(dms), HalfInt(dmn))
-                        vec = vec + c * np.kron(rows[(dj - dm) // 2], spin)
+                        vec = vec + _spin_half_cg(dj, djn, dmn, dms) * np.kron(rows[(dj - dm) // 2], spin)
                     new_rows.append(vec)
                 grown.append((djn, np.array(new_rows)))
         sectors = grown

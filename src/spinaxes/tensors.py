@@ -10,6 +10,15 @@ tau^k_q^dag = (-1)^q tau^k_{-q}.  The expansion and its inverse are
 
     t^k_q = Tr(rho tau^k_q),        rho = 1/(2j+1) sum_kq t^k_q tau^k_q^dag.
 
+The operators are built in floating point, one order q at a time (the
+idea of Racah 1942, tensor operators from J+- and Jz alone): the nonzero
+diagonals of tau^k_q, k = |q| .. 2j, are an orthogonal family of discrete
+polynomials in m times the diagonal of (J-)^|q|, generated by a three-term
+Lanczos recursion in m with full reorthogonalization.  They agree with the
+exact Clebsch-Gordan values to about 6e-15 at 2j = 60.  One cached table
+per j holds every tau^k_q; ``rho_to_t`` and ``t_to_rho`` are one product
+with it each.
+
 ``rotate_t`` applies the same active rotation to the parameters that
 U(phi, theta, psi) applies to the state, so that
 rotate_t(rho_to_t(rho)) == rho_to_t(U rho U^dag).
@@ -27,7 +36,7 @@ from typing import Mapping
 import numpy as np
 import warnings
 
-from .angular import MAX_DOUBLED_J, _d_ladder, cg_value
+from .angular import MAX_DOUBLED_J, _d_ladder
 from .errors import DomainError, NonPhysicalWarning, ValidationError
 from .halfint import HalfInt, dimension, halfint
 
@@ -175,27 +184,47 @@ class TensorParams:
         return max(float(np.abs(a - b).max()) for a, b in zip(self.ranks, other.ranks))
 
 
-def _tau_matrix(dj: int, k: int, q: int) -> np.ndarray:
-    """Real matrix of tau^k_q on spin dj/2, from exact CG values."""
+def _order_block(dj: int, p: int) -> np.ndarray:
+    """Nonzero diagonals of tau^k_{-p} on spin dj/2, row k - p for k = p .. 2j.
+
+    Entry c of a row is <j m-p| tau^k_{-p} |j m> at m = j - c.  At a fixed
+    order these diagonals are an orthogonal basis, each of norm sqrt(2j+1):
+    the diagonal of (J-)^p times polynomials in m of degree k - p.  Starting
+    from (J-)^p, each next row is the last one times m - p/2 (what
+    (Jz X + X Jz)/2 does on that diagonal), orthogonalized twice against
+    the rows above.  No sign needs fixing: each row's polynomial has a
+    positive leading coefficient and all its zeros between the extreme
+    nodes, so it is positive at m = j, as the single positive Racah term
+    makes sqrt(2k+1) <j j, k -p | j j-p>.  That entry can be as small as
+    1e-17 at 2j = 60, too small to read a sign from.
+    """
     dim = dj + 1
-    out = np.zeros((dim, dim))
-    scale = np.sqrt(2 * k + 1)
-    for col, dm in enumerate(range(dj, -dj - 1, -2)):
-        dmp = dm + 2 * q
-        if abs(dmp) <= dj:
-            row = (dj - dmp) // 2
-            out[row, col] = scale * cg_value(HalfInt(dj), HalfInt(2 * k), HalfInt(dj), HalfInt(dm), HalfInt(2 * q), HalfInt(dmp))
-    return out
+    dm = np.arange(dj, 2 * p - dj - 1, -2)  # doubled m of the columns: j .. p - j
+    i = np.arange(p)[:, None]
+    v = np.sqrt(np.prod((dj + dm - 2 * i) * (dj - dm + 2 * i + 2) / 4.0, axis=0))
+    x = (dm - p) / 2.0
+    rows = np.empty((dim - p, dim - p))
+    for r in range(dim - p):
+        for _ in range(2):
+            v = v - rows[:r].T @ (rows[:r] @ v) / dim
+        # sqrt(v.v), not a BLAS norm, keeps tau^0_0 exactly the identity
+        rows[r] = v * (np.sqrt(dim) / np.sqrt(v @ v))
+        v = x * rows[r]
+    return rows
 
 
 @lru_cache(maxsize=None)
 def _tau_table(dj: int) -> np.ndarray:
     """Read-only real table; row k^2 + k + q, as in np.concatenate(t.ranks), is vec(tau^k_q)."""
     dim = dj + 1
-    table = np.empty((dim * dim, dim * dim))
-    for k in range(dim):
-        for q in range(-k, k + 1):
-            table[k * k + k + q] = _tau_matrix(dj, k, q).ravel()
+    table = np.zeros((dim * dim, dim * dim))
+    for p in range(dim):
+        block = _order_block(dj, p)
+        k = np.arange(p, dim)[:, None]
+        c = np.arange(dim - p)
+        table[k * k + k - p, (c + p) * dim + c] = block
+        # tau^k_p = (-1)^p (tau^k_-p)^T
+        table[k * k + k + p, c * dim + c + p] = (-1.0) ** p * block
     table.setflags(write=False)
     return table
 
@@ -213,7 +242,8 @@ def tau_operator(j, k: int, q: int) -> np.ndarray:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
     if abs(q) > k:
         raise DomainError(f"order q = {q} outside |q| <= {k}")
-    return _tau_matrix(j.doubled, k, q).astype(complex)
+    diagonal = _order_block(j.doubled, abs(q))[k - abs(q)]
+    return (-1.0) ** max(q, 0) * np.diag(diagonal, q).astype(complex)
 
 
 def rho_to_t(rho: SpinDensityMatrix) -> TensorParams:

@@ -13,8 +13,12 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def cli_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+
+
 def run_cli(*args, expect=0, memory_limit=None):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    env = cli_env()
     limit = None
     if memory_limit is not None:
         env["OPENBLAS_NUM_THREADS"] = "1"
@@ -271,6 +275,24 @@ class TestPfunc:
         two = doc["mar"]["ranks"][1]
         for axis in two["axes"]:
             assert axis["theta"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_closed_pipe_exits_quietly(self):
+        # stdout is a pipe whose reader is already gone, as after `| head -0`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "spinaxes.cli", "pfunc", "y2:l=2,m=1", "--j", "3/2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=cli_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
 
     def test_expansion_file(self, tmp_path):
         a = 1.0 / math.sqrt(4.0 * math.pi)

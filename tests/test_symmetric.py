@@ -11,6 +11,7 @@ from spinaxes import (
     HalfInt,
     SeparableEnsemble,
     ValidationError,
+    cg_value,
     coherent_state,
     ensemble_to_rho,
     product_state_in_jm,
@@ -19,6 +20,7 @@ from spinaxes import (
     symmetric_subspace_unitary,
     symmetrize_pair,
 )
+from spinaxes.symmetric import _spin_half_cg
 
 h = HalfInt
 
@@ -100,6 +102,15 @@ class TestSubspaceUnitary:
             for axes in _adjacent_swaps(n):
                 swapped = top.reshape((n + 1,) + (2,) * n).transpose((0,) + axes).reshape(n + 1, 2**n)
                 np.testing.assert_allclose(swapped, top, atol=1e-13)
+
+    def test_spin_half_couplings_match_exact_cg(self):
+        for dj in range(12):
+            for djn in (dj + 1, dj - 1):
+                for dmn in range(djn, -djn - 1, -2):
+                    for dms in (1, -1):
+                        if abs(dmn - dms) <= dj and djn >= 0:
+                            want = cg_value(h(dj), h(1), h(djn), h(dmn - dms), h(dms), h(dmn))
+                            assert _spin_half_cg(dj, djn, dmn, dms) == pytest.approx(want, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -19,6 +19,7 @@ from spinaxes import (
     t_to_rho,
     tau_operator,
 )
+from spinaxes.tensors import _tau_table
 
 from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
 
@@ -90,6 +91,66 @@ class TestTauOperator:
         op = tau_operator(h(2), 1, 0)
         op[0, 0] = 99.0
         assert tau_operator(h(2), 1, 0)[0, 0] != 99.0
+
+
+def exact_tau_table(dj):
+    """The tau table filled one exact-rational CG value at a time."""
+    dim = dj + 1
+    table = np.zeros((dim * dim, dim * dim))
+    for k in range(dim):
+        for q in range(-k, k + 1):
+            for col, dm in enumerate(range(dj, -dj - 1, -2)):
+                dmp = dm + 2 * q
+                if abs(dmp) <= dj:
+                    cg = cg_value(h(dj), h(2 * k), h(dj), h(dm), h(2 * q), h(dmp))
+                    table[k * k + k + q, (dj - dmp) // 2 * dim + col] = math.sqrt(2 * k + 1) * cg
+    return table
+
+
+class TestTauTable:
+    @pytest.mark.parametrize("dj", range(17))
+    def test_matches_exact_cg(self, dj):
+        np.testing.assert_allclose(_tau_table(dj), exact_tau_table(dj), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dj", [40, 60])
+    def test_commutators_with_angular_momentum(self, dj):
+        # [Jz, tau^k_q] = q tau^k_q and [J-, tau^k_q] = sqrt((k+q)(k-q+1)) tau^k_{q-1}
+        dim = dj + 1
+        jz, jm = jz_matrix(dj), jplus_matrix(dj).T
+        table = _tau_table(dj)
+        for k in range(dim):
+            ops = table[k * k : (k + 1) ** 2].reshape(2 * k + 1, dim, dim)
+            q = np.arange(-k, k + 1)[:, None, None]
+            lowered = np.concatenate((np.zeros((1, dim, dim)), ops[:-1]))
+            np.testing.assert_allclose(jz @ ops - ops @ jz, q * ops, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                jm @ ops - ops @ jm, np.sqrt((k + q) * (k - q + 1)) * lowered, rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("dj", [40, 60])
+    def test_rows_orthogonal(self, dj):
+        from scipy import sparse
+
+        table = sparse.csr_matrix(_tau_table(dj))
+        gram = table @ table.T - (dj + 1) * sparse.identity(table.shape[0])
+        assert abs(gram).max() < 1e-12
+
+    def test_seeded_entries_at_top_spin(self):
+        dj, dim = 60, 61
+        table = _tau_table(dj)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(0, dim))
+            q = int(rng.integers(-k, k + 1))
+            dm = int(rng.choice(np.arange(min(dj, dj - 2 * q), max(-dj, -dj - 2 * q) - 1, -2)))
+            dmp = dm + 2 * q
+            want = math.sqrt(2 * k + 1) * cg_value(h(dj), h(2 * k), h(dj), h(dm), h(2 * q), h(dmp))
+            got = table[k * k + k + q, (dj - dmp) // 2 * dim + (dj - dm) // 2]
+            assert got == pytest.approx(want, abs=1e-13)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            _tau_table(3)[0, 0] = 2.0
 
 
 class TestSpinDensityMatrix:
