@@ -10,7 +10,11 @@ conjugation symmetry of t forces  conj(P_k(-1/conj(Z))) Z^{2k} to be
 proportional to P_k(Z).  Stereographic projection Z = tan(theta/2) e^{i phi}
 turns each pair into one axis on the sphere; read backwards, the product of
 the axes' quadratics is the polynomial of their stretched tensor s^k_q, and
-projecting t onto s recovers a signed radius.  The decomposition is
+projecting t onto s recovers a signed radius.  An exact k-fold axis, as in
+product and uniaxial states, comes back from the companion matrix as k
+roots scattered by about eps^(1/k), so ``extract_mar`` first tries the
+whole rank as one axis, then pairs the roots and replaces each cluster by
+the axis of the mean of its roots.  The decomposition is
 
     t^k_q ~= r_k s^k_q(axes),    r_k real of either sign,
 
@@ -19,7 +23,6 @@ with the stored radius = |r_k| and the sign kept alongside.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,13 +32,16 @@ from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt
 from .tensors import TensorParams
 
-COEFF_ZERO_RTOL = 1e-12
 ROOT_CLUSTER_RTOL = 1e-7
 PAIRING_TOL = 1e-6
-# companion-matrix backward error budget for multiple-root windows and
-# the relative bound a certified multiple root must meet
-_MULTIPLE_ROOT_BACKWARD = 1e-10
-_CERT_RTOL = 3e-11
+# joins neighbours in a k-fold cluster, whose roots scatter by about eps^(1/k)
+_CLUSTER_WINDOW = 0.5
+# a collapse must rebuild the block to rounding (relative to its 2-norm),
+# which merging distinct axes cannot
+_COLLAPSE_RTOL = 1e-10
+# ...or to the rounding of the whole table, which every block carries: the top
+# ranks of near-coherent states are so small that it exceeds 1e-10 of them
+_TABLE_RTOL = 1e-14
 EQUATOR_TOL = 1e-9
 RADIUS_ZERO_TOL = 1e-12
 
@@ -69,6 +75,9 @@ class Axis:
         if z < -EQUATOR_TOL:
             x, y, z = -x, -y, -z
         phi = math.atan2(y, x) % (2 * math.pi)
+        # a tiny negative y leaves phi at or within rounding below 2 pi: that is phi = 0
+        if (2 * math.pi - phi) * math.hypot(x, y) < 1e-15:
+            phi = 0.0
         if abs(z) <= EQUATOR_TOL and phi >= math.pi:
             phi -= math.pi
             z = -z
@@ -90,151 +99,75 @@ def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
 def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
     """Roots with multiplicities, plus the count of roots at infinity.
 
-    Coefficients smaller than 1e-12 of the largest are treated as
-    structural zeros: missing leading degrees become roots at infinity,
-    missing trailing degrees roots at zero.  Finite roots come from the
-    balanced companion matrix and are polished by two Newton steps.
-    Roots within relative distance 1e-7 always merge into one root with
-    multiplicity; wider groups merge only under a derivative certificate
-    (see ``_group_roots``), which recovers exact multiple roots that the
-    companion matrix scatters far beyond any fixed tolerance.
+    Leading coefficients that are exactly zero, or below the float range
+    relative to the largest (they would overflow the companion matrix),
+    become roots at infinity, and trailing zeros roots at zero.  The other
+    roots are the eigenvalues of the companion matrix, and roots within relative
+    distance 1e-7 merge into their mean with the group's size as
+    multiplicity.  An exact m-fold root scatters by about eps^(1/m), so
+    from m = 3 it may come back as several entries; ``extract_mar`` does
+    not rely on this merge.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or len(c) < 2:
         raise DomainError("need a coefficient vector of degree at least one")
-    scale = np.abs(c).max()
-    if scale == 0.0:
+    if not c.any():
         raise DomainError("the zero polynomial has no root set")
-    keep = np.abs(c) > COEFF_ZERO_RTOL * scale
-    first = int(np.argmax(keep))
-    last = len(c) - 1 - int(np.argmax(keep[::-1]))
-    at_infinity = first
-    zero_mult = len(c) - 1 - last
-    core = c[first : last + 1]
-    result: list[tuple[complex, int]] = []
-    if zero_mult:
-        result.append((0j, zero_mult))
-    if len(core) > 1:
-        raw = np.roots(core)
-        dcore = core[:-1] * np.arange(len(core) - 1, 0, -1)
-        for _ in range(2):
-            p = np.polyval(core, raw)
-            dp = np.polyval(dcore, raw)
-            step = np.where(np.abs(dp) > 0, p / np.where(np.abs(dp) > 0, dp, 1.0), 0.0)
-            better = raw - step
-            improves = np.abs(np.polyval(core, better)) <= np.abs(p)
-            raw = np.where(improves, better, raw)
-        result.extend(_group_roots(core, raw))
-    return result, at_infinity
+    raw = _raw_roots(c)
+    merged, left = [], raw
+    while len(left):
+        near = np.abs(left - left[0]) <= ROOT_CLUSTER_RTOL * np.maximum(np.abs(left), max(1.0, abs(left[0])))
+        merged.append((complex(np.mean(left[near])), int(near.sum())))
+        left = left[~near]
+    return merged, len(c) - 1 - len(raw)
 
 
-def _chain_clusters(values, window: float) -> list[list[complex]]:
-    remaining = list(values)
-    clusters = []
-    while remaining:
-        members = [remaining.pop(0)]
-        changed = True
-        while changed:
-            changed = False
-            center = complex(np.mean(members))
-            for r in remaining[:]:
-                if abs(r - center) <= window * max(1.0, abs(r), abs(center)):
-                    members.append(r)
-                    remaining.remove(r)
-                    changed = True
-        clusters.append(members)
-    return clusters
+def _raw_roots(c: np.ndarray) -> np.ndarray:
+    """Companion-matrix roots; the matrix divides by the leading coefficient,
+    so one below the float range relative to the largest counts as zero."""
+    c = c / np.abs(c).max()
+    return np.roots(c[np.argmax(np.abs(c) >= np.finfo(float).tiny) :])
 
 
-def _derivative_table(core: np.ndarray) -> list[np.ndarray]:
-    ders = [np.asarray(core, dtype=complex)]
-    while len(ders[-1]) > 1:
-        c = ders[-1]
-        ders.append(c[:-1] * np.arange(len(c) - 1, 0, -1))
-    return ders
+def _sphere_points(z: np.ndarray) -> np.ndarray:
+    """Unit vectors of the stereographic preimages of Z = tan(theta/2) e^{i phi}.
 
-
-def _certified_multiple(ders, members) -> tuple[complex, int] | None:
-    """Refine a size-m group as an exact m-fold root, or reject it.
-
-    An m-fold root is a simple root of the (m-1)th derivative, so Newton
-    there converges sharply even though the plain roots scatter as
-    eps^(1/m).  The certificate then demands p, p', ..., p^(m-1) all
-    vanish at the refined point relative to their coefficient scale,
-    which a false merge of distinct roots cannot satisfy.
+    Z = inf maps to the south pole.
     """
-    m = len(members)
-    z = complex(np.mean(members))
-    for _ in range(3):
-        dp = complex(np.polyval(ders[m], z))
-        if dp == 0.0:
-            break
-        z = z - complex(np.polyval(ders[m - 1], z)) / dp
-    for i in range(m):
-        bound = float(np.polyval(np.abs(ders[i]), max(1.0, abs(z))))
-        if abs(complex(np.polyval(ders[i], z))) > _CERT_RTOL * bound:
-            return None
-    return z, m
+    theta = 2.0 * np.arctan(np.abs(z))
+    phi = np.angle(z)
+    s = np.sin(theta)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def _group_roots(core: np.ndarray, raw: np.ndarray) -> list[tuple[complex, int]]:
-    """Group polished companion-matrix roots into (root, multiplicity).
+def _antipodal_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each point greedily with the free point nearest its antipode.
 
-    A numerical m-fold root occupies a disc of radius about eps^(1/m),
-    so groups are proposed at those scales, widest first, and accepted
-    only when certified; whatever remains merges unconditionally at the
-    1e-7 relative baseline.
+    Returns the (n/2, 2) index pairs and each pair's chordal distance from
+    being antipodal, |p_a + p_b|.
     """
-    deg = len(core) - 1
-    ders = _derivative_table(core)
-    windows = sorted(
-        {_MULTIPLE_ROOT_BACKWARD ** (1.0 / m) for m in range(2, deg + 1)}, reverse=True
-    )
-    remaining = list(raw)
-    found: list[tuple[complex, int]] = []
-    for w in windows:
-        if len(remaining) < 2:
-            break
-        for members in _chain_clusters(remaining, w):
-            if len(members) < 2:
-                continue
-            cert = _certified_multiple(ders, members)
-            if cert is not None:
-                found.append(cert)
-                for r in members:
-                    remaining.remove(r)
-    for members in _chain_clusters(remaining, ROOT_CLUSTER_RTOL):
-        found.append((complex(np.mean(members)), len(members)))
-    return found
+    gram = points @ points.T
+    free = np.ones(len(points), dtype=bool)
+    pairs = []
+    for a in range(len(points)):
+        if free[a]:
+            free[a] = False
+            b = int(np.argmin(np.where(free, gram[a], np.inf)))
+            free[b] = False
+            pairs.append((a, b))
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    return pairs, np.linalg.norm(points[pairs[:, 0]] + points[pairs[:, 1]], axis=1)
 
 
-def _chordal(z, w) -> float:
-    """Chordal distance on the sphere; None stands for the point at infinity."""
-    if z is None and w is None:
-        return 0.0
-    if z is None:
-        return 2.0 / math.sqrt(1.0 + abs(w) ** 2)
-    if w is None:
-        return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
-    return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
-
-
-def _point(z) -> np.ndarray:
-    """Unit vector of the stereographic preimage of Z = tan(theta/2) e^{i phi}."""
-    if z is None:
-        return np.array([0.0, 0.0, -1.0])
-    theta = 2.0 * math.atan(abs(z))
-    phi = cmath.phase(z) if z != 0 else 0.0
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
-
-
-def _antipodal_image(z):
-    if z is None:
-        return 0j
-    if z == 0:
-        return None
-    return -1.0 / z.conjugate()
+def _check_pairing(z: np.ndarray, pairs: np.ndarray, gaps: np.ndarray) -> None:
+    bad = np.flatnonzero(gaps > PAIRING_TOL)
+    if bad.size:
+        p = bad[0]
+        raise ConsistencyError(
+            f"root {complex(z[pairs[p, 0]])!r} has no antipodal partner within {PAIRING_TOL:g} "
+            f"(closest at chordal distance {gaps[p]:.3g}); "
+            "the rank block does not satisfy the conjugation symmetry"
+        )
 
 
 def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
@@ -245,30 +178,108 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     violation raises :class:`ConsistencyError`.  Axes are sorted by
     descending theta, then ascending phi.
     """
-    units: list = []
-    for z, mult in roots:
+    z: list = []
+    for root, mult in roots:
         if mult < 1:
             raise DomainError(f"multiplicity {mult} is not positive")
-        units.extend([complex(z)] * mult)
-    units.extend([None] * count_at_infinity)
-    if len(units) != 2 * k:
-        raise DomainError(f"got {len(units)} roots in total, expected 2k = {2 * k}")
-    axes = []
-    while units:
-        z = units.pop(0)
-        image = _antipodal_image(z)
-        dists = [_chordal(image, w) for w in units]
-        best = int(np.argmin(dists))
-        if dists[best] > PAIRING_TOL:
-            raise ConsistencyError(
-                f"root {z!r} has no antipodal partner within {PAIRING_TOL:g} "
-                f"(closest at chordal distance {dists[best]:.3g}); "
-                "the rank block does not satisfy the conjugation symmetry"
-            )
-        w = units.pop(best)
-        axes.append(Axis.from_direction(0.5 * (_point(z) - _point(w))))
-    axes.sort(key=lambda a: (-a.theta, a.phi))
-    return axes
+        z.extend([complex(root)] * mult)
+    z.extend([complex(math.inf)] * count_at_infinity)
+    if len(z) != 2 * k:
+        raise DomainError(f"got {len(z)} roots in total, expected 2k = {2 * k}")
+    z = np.array(z, dtype=complex)
+    points = _sphere_points(z)
+    pairs, gaps = _antipodal_pairs(points)
+    _check_pairing(z, pairs, gaps)
+    return _sorted_axes(points[pairs[:, 0]] - points[pairs[:, 1]])
+
+
+def _sorted_axes(directions) -> list[Axis]:
+    """Axes along the given directions, by descending theta, then ascending phi."""
+    return sorted((Axis.from_direction(d) for d in directions), key=lambda a: (-a.theta, a.phi))
+
+
+def _cluster_point(z: np.ndarray, points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Sphere point of the mean of a cluster's roots on one side of it (of
+    each pair, the root nearer the group's first upper-hemisphere root).
+    The mean is a symmetric function of the cluster, so it keeps the
+    accuracy its scattered members lose; the -1/conj(Z) images would not
+    (that map is anti-holomorphic)."""
+    ends = pairs.ravel()
+    ref = points[ends[np.argmax(points[ends, 2] >= 0.0)]]
+    near = np.where(points[pairs[:, 0]] @ ref >= points[pairs[:, 1]] @ ref, pairs[:, 0], pairs[:, 1])
+    return _sphere_points(np.mean(z[near]))
+
+
+def _zonal_axis(block: np.ndarray) -> np.ndarray:
+    """The axis u of a block that is one k-fold axis, r s^k_q(u, ..., u).
+
+    That block is annihilated by u . V with V = (J_x, -J_y, J_z) of spin k
+    (the m = 0 state along u, mirrored by the convention of t), so u spans
+    the null space of Re <V_a t, V_b t>.  Every entry weighs in by its
+    size, so rounding in the tiny extreme-q entries cannot spoil it.
+    """
+    k = (len(block) - 1) // 2
+    q = np.arange(-k, k + 1)
+    ladder = np.sqrt(k * (k + 1) - q[:-1] * (q[:-1] + 1))
+    raised = np.concatenate([[0.0], ladder * block[:-1]])
+    lowered = np.concatenate([ladder * block[1:], [0.0]])
+    v = np.stack([(raised + lowered) / 2, (lowered - raised) / 2j, q * block])
+    return np.linalg.eigh((v.conj() @ v.T).real)[1][:, 0]
+
+
+def _rank_axes(block: np.ndarray, coeffs: np.ndarray, floor: float) -> tuple:
+    """Axes of one nonzero rank block from the roots of its polynomial.
+
+    A group of axes collapses to one axis when the block still rebuilds
+    within 1e-10 of its norm, or within ``floor`` (the table's rounding)
+    if larger.  The whole rank is tried first at ``_zonal_axis``: a k-fold
+    axis may scatter its roots wider than any window.  Otherwise the roots
+    are paired, axis pairs closer than 0.5 rad join, nearest first, and
+    each join tries its group at ``_cluster_point``.  Pairs left out of
+    every kept collapse must be antipodal within ``PAIRING_TOL``.
+    """
+    k = (len(block) - 1) // 2
+    bound = max(_COLLAPSE_RTOL * float(np.linalg.norm(block)), floor)
+    zonal = _zonal_axis(block)
+    if fit_radius(block, _stretched(np.tile(zonal, (k, 1))))[1] <= bound:
+        return (Axis.from_direction(zonal),) * k
+    raw = _raw_roots(coeffs)
+    z = np.concatenate([raw, np.full(2 * k - len(raw), complex(math.inf))])
+    points = _sphere_points(z)
+    pairs, gaps = _antipodal_pairs(points)
+    units = points[pairs[:, 0]] - points[pairs[:, 1]]
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    collapsed = np.zeros(k, dtype=bool)
+    a_idx, b_idx = np.triu_indices(k, 1)
+    angle = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", units[a_idx], units[b_idx])), 1.0))
+    close = np.flatnonzero(angle < _CLUSTER_WINDOW)
+    group = np.arange(k)
+    for c in close[np.argsort(angle[close], kind="stable")]:
+        ga, gb = group[a_idx[c]], group[b_idx[c]]
+        if ga == gb:
+            continue
+        group[group == gb] = ga
+        members = group == ga
+        trial = units.copy()
+        trial[members] = _cluster_point(z, points, pairs[members])
+        if fit_radius(block, _stretched(trial))[1] <= bound:
+            units = trial
+            collapsed[members] = True
+    _check_pairing(z, pairs, np.where(collapsed, 0.0, gaps))
+    return tuple(_sorted_axes(units))
+
+
+def _stretched(units: np.ndarray) -> np.ndarray:
+    """s^k_q of k unit vectors (rows), q ascending; see ``axes_to_tensor``."""
+    k = len(units)
+    x, y, z = units.T
+    r2 = math.sqrt(2.0)
+    quadratics = np.stack([(x - 1j * y) / r2, r2 * z, -(x + 1j * y) / r2], axis=1)
+    prod = np.ones(1, dtype=complex)
+    for quadratic in quadratics:
+        prod = np.convolve(prod, quadratic)
+    # float binomials: C(2k, i) overflows int64 from k = 34
+    return prod / np.sqrt([float(math.comb(2 * k, i)) for i in range(2 * k + 1)])
 
 
 def axes_to_tensor(axes, k: int) -> np.ndarray:
@@ -282,13 +293,7 @@ def axes_to_tensor(axes, k: int) -> np.ndarray:
         raise DomainError(f"need exactly k = {k} axes, got {len(axes)}")
     if k < 1:
         raise DomainError("rank must be at least one")
-    r2 = math.sqrt(2.0)
-    prod = np.ones(1, dtype=complex)
-    for axis in axes:
-        x, y, z = axis.unit_vector
-        prod = np.convolve(prod, [(x - 1j * y) / r2, r2 * z, -(x + 1j * y) / r2])
-    # float binomials: C(2k, i) overflows int64 from k = 34
-    return prod / np.sqrt([float(math.comb(2 * k, i)) for i in range(2 * k + 1)])
+    return _stretched(np.array([axis.unit_vector for axis in axes]))
 
 
 def fit_radius(t_rank, s) -> tuple[float, float]:
@@ -362,16 +367,15 @@ def extract_mar(t: TensorParams, zero_tol: float = RADIUS_ZERO_TOL) -> MarDecomp
     tensor) leave the rank unresolved rather than raising.
     """
     entries = []
+    floor = _TABLE_RTOL * float(np.linalg.norm(np.concatenate(t.ranks)))
     for k in range(1, t.max_rank + 1):
         block = t.rank(k)
         if np.abs(block).max() <= zero_tol:
             entries.append(RankDecomposition(k, 0.0, 1, (), 0.0))
             continue
-        roots, at_inf = polynomial_roots(mar_polynomial(t, k))
-        axes = tuple(roots_to_axes(roots, at_inf, k))
-        s = axes_to_tensor(axes, k)
+        axes = _rank_axes(block, mar_polynomial(t, k), floor)
         try:
-            r, residual = fit_radius(block, s)
+            r, residual = fit_radius(block, axes_to_tensor(axes, k))
         except ConsistencyError:
             entries.append(RankDecomposition(k, math.nan, 1, axes, math.nan, resolved=False))
             continue
@@ -382,12 +386,6 @@ def extract_mar(t: TensorParams, zero_tol: float = RADIUS_ZERO_TOL) -> MarDecomp
 
 def collinearity_check(m: MarDecomposition, tol: float = 1e-8) -> bool:
     """True when all axes across ranks with nonzero radius share one line."""
-    vectors = []
-    for entry in m.ranks:
-        if entry.resolved and entry.radius > tol:
-            vectors.extend(axis.unit_vector for axis in entry.axes)
-    for i, v in enumerate(vectors):
-        for w in vectors[i + 1 :]:
-            if abs(float(v @ w)) < 1.0 - tol:
-                return False
-    return True
+    kept = [e for e in m.ranks if e.resolved and e.radius > tol]
+    v = np.array([axis.unit_vector for e in kept for axis in e.axes]).reshape(-1, 3)
+    return bool((np.abs(v @ v.T) >= 1.0 - tol).all())

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import MAX_DOUBLED_J
 from .errors import DomainError, ValidationError
 from .halfint import HalfInt
 from .pfunc import coherent_state
@@ -128,14 +129,21 @@ def symmetrize_pair(d1: BlochVector, d2: BlochVector) -> tuple[np.ndarray, float
     return rho, float(coupled[3, 3].real)
 
 
+def _check_qubits(n_qubits) -> None:
+    """Reject a qubit count outside 1 .. MAX_DOUBLED_J before anything is allocated."""
+    if not isinstance(n_qubits, int) or n_qubits < 1:
+        raise DomainError(f"need at least one qubit, got {n_qubits!r}")
+    if n_qubits > MAX_DOUBLED_J:
+        raise DomainError(f"{n_qubits} qubits exceeds the supported maximum of {MAX_DOUBLED_J}")
+
+
 def product_state_in_jm(direction: BlochVector, n_qubits: int) -> SpinDensityMatrix:
     """The N-fold product of one pure qubit, written in the |j m> ladder.
 
     The product state of N aligned qubits is the spin-N/2 coherent state
     along the same direction.
     """
-    if not isinstance(n_qubits, int) or n_qubits < 1:
-        raise DomainError(f"need at least one qubit, got {n_qubits!r}")
+    _check_qubits(n_qubits)
     vec = coherent_state(HalfInt(n_qubits), direction.theta, direction.phi)
     return SpinDensityMatrix(HalfInt(n_qubits), np.outer(vec, vec.conj()))
 
@@ -148,8 +156,7 @@ class SeparableEnsemble:
     terms: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
-            raise DomainError(f"need at least one qubit, got {self.n_qubits!r}")
+        _check_qubits(self.n_qubits)
         terms = []
         for weight, direction in self.terms:
             w = float(weight)

@@ -28,6 +28,7 @@ from oracles import random_density
 h = HalfInt
 
 SQ3 = math.sqrt(3.0)
+SEEDED_DIRECTION = tuple(np.random.default_rng(45).uniform([0.0, 0.0], [math.pi, 2.0 * math.pi]))
 
 
 def paper_tensor():
@@ -74,6 +75,14 @@ class TestAxisCanonicalization:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             Axis.from_direction([0.0, 0.0, 0.0])
+
+    def test_tiny_negative_y_gives_phi_zero(self):
+        # atan2 of a tiny negative y is -1e-17, which mod 2 pi rounds to 2 pi
+        a = Axis.from_direction([0.1, -1e-18, 0.99])
+        assert a.phi == 0.0
+        # phi = 2 pi - 1e-15 is representable, but still the direction of phi = 0
+        b = Axis.from_direction([0.1, -1e-16, 0.99])
+        assert b.phi == 0.0
 
 
 class TestMarPolynomial:
@@ -139,6 +148,13 @@ class TestPolynomialRoots:
     def test_all_zero_rejected(self):
         with pytest.raises(DomainError):
             polynomial_roots([0.0, 0.0, 0.0])
+
+    def test_leading_coefficient_below_float_range_is_at_infinity(self):
+        # dividing by it would overflow the companion matrix
+        roots, at_inf = polynomial_roots([1e-320, 1.0, -1.0])
+        assert at_inf == 1
+        assert len(roots) == 1 and roots[0][1] == 1
+        assert roots[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self):
         big = polynomial_roots([3e8, 0.0, -3e8])
@@ -297,17 +313,72 @@ class TestExtractMar:
         assert m.rank(1).radius == 0.0
         assert m.rank(2).radius == pytest.approx(0.1 * math.sqrt(3.0 / 2.0), abs=1e-12)
 
-    def test_coherent_state_is_collinear(self):
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(0.05, 0.0), (0.1, 0.0), (math.pi / 2.0, 0.0), (math.pi / 2.0, 2.4), (0.8, 2.4), SEEDED_DIRECTION],
+        ids=["theta0.05", "theta0.1", "equator-phi0", "equator", "theta0.8", "seeded"],
+    )
+    def test_coherent_state_is_collinear(self, theta, phi, n):
+        # rank k of an n-qubit product state has one k-fold axis, which the
+        # companion matrix scatters by about eps^(1/k)
         from spinaxes import BlochVector, product_state_in_jm
 
-        d = BlochVector(0.8, 2.4)
-        m = extract_mar(rho_to_t(product_state_in_jm(d, 4)))
+        d = BlochVector(theta, phi)
+        m = extract_mar(rho_to_t(product_state_in_jm(d, n)))
         assert collinearity_check(m)
-        for k in range(1, 5):
-            assert m.rank(k).radius > 1e-3
-            for a in m.rank(k).axes:
+        for k in range(1, n + 1):
+            entry = m.rank(k)
+            assert entry.radius > 1e-3
+            assert len(entry.axes) == k and len(set(entry.axes)) == 1
+            for a in entry.axes:
                 dot = abs(float(a.unit_vector @ d.cartesian))
                 assert dot == pytest.approx(1.0, abs=1e-7)
+                assert np.linalg.norm(np.cross(a.unit_vector, d.cartesian)) < 1e-8
+
+    @pytest.mark.parametrize("n", [24, 32, 40, 60])
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(0.05, 0.0), (2e-5, 0.3), (4e-5, 0.3), (math.pi / 2.0, 0.0), (math.pi / 2.0, 2.4), SEEDED_DIRECTION],
+        ids=["theta0.05", "theta2e-5", "theta4e-5", "equator-phi0", "equator", "seeded"],
+    )
+    def test_large_coherent_state_is_collinear(self, theta, phi, n):
+        # from N = 24 the rounding of the top rank blocks exceeds 1e-10 of
+        # their norm and their roots scatter by up to 0.4 rad; from N = 40 the
+        # one axis is only known to about 1e-6 from the rounded table
+        from spinaxes import BlochVector, product_state_in_jm
+
+        d = BlochVector(theta, phi)
+        m = extract_mar(rho_to_t(product_state_in_jm(d, n)))
+        assert collinearity_check(m)
+        for entry in m.ranks:
+            assert len(entry.axes) in (0, entry.rank) and len(set(entry.axes)) <= 1
+            for a in entry.axes:
+                assert np.linalg.norm(np.cross(a.unit_vector, d.cartesian)) < (1e-8 if n <= 32 else 1e-5)
+
+    @pytest.mark.parametrize("dj", list(range(1, 25)) + [28, 32, 40, 60])
+    def test_generic_state_reconstructs(self, dj):
+        rng = np.random.default_rng(dj)
+        t = rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1)))
+        m = extract_mar(t)
+        for k in range(1, dj + 1):
+            block = t.rank(k)
+            assert np.abs(m.rank(k).reconstruct() - block).max() <= 1e-10 * np.abs(block).max()
+
+    @pytest.mark.parametrize("mult", [(2, 1), (2, 2), (3, 1, 1), (4, 2), (6, 1)])
+    def test_repeated_axes_come_back(self, mult):
+        # the rank is not one axis, so each repeated axis comes back from the
+        # companion matrix as a cluster of scattered roots
+        dirs = np.random.default_rng(sum(mult)).normal(size=(len(mult), 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        axes = [Axis.from_direction(d) for d, m in zip(dirs, mult) for _ in range(m)]
+        k = len(axes)
+        block = 0.01 * axes_to_tensor(axes, k)
+        t = TensorParams.from_table(h(k), {(k, q): block[q + k] for q in range(-k, k + 1)})
+        got = [a.unit_vector for a in extract_mar(t).rank(k).axes]
+        assert len(got) == k
+        for d, m in zip(dirs, mult):
+            assert sum(np.linalg.norm(np.cross(g, d)) < 1e-8 for g in got) == m
 
     def test_mixed_directions_are_not_collinear(self):
         y20 = math.sqrt(5.0 / (16.0 * math.pi))

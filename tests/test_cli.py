@@ -143,6 +143,8 @@ NEGATIVE_TENSOR = {"schema_version": 1, "j_doubled": -3, "entries": []}
 HUGE_TENSOR = {"schema_version": 1, "j_doubled": 100000, "entries": []}
 # a block per degree up to this l_max would take tens of GB
 HUGE_EXPANSION = {"schema_version": 1, "l_max": 100000000, "coeffs": []}
+# the ladder-basis matrix of this many qubits would take 142 PiB
+HUGE_ENSEMBLE = {"schema_version": 1, "n_qubits": 100000000, "terms": [{"weight": 1.0, "theta": 0.0, "phi": 0.0}]}
 
 
 class TestMalformedFiles:
@@ -157,9 +159,12 @@ class TestMalformedFiles:
             ("mar", NEGATIVE_TENSOR),
             ("t2rho", HUGE_TENSOR),
             ("mar", HUGE_TENSOR),
+            ("ensemble", HUGE_ENSEMBLE),
+            ("mar", HUGE_ENSEMBLE),
         ],
         ids=["nan-rho2t", "nan-mar", "neg-state-rho2t", "neg-state-mar",
-             "neg-tensor-t2rho", "neg-tensor-mar", "huge-tensor-t2rho", "huge-tensor-mar"],
+             "neg-tensor-t2rho", "neg-tensor-mar", "huge-tensor-t2rho", "huge-tensor-mar",
+             "huge-ensemble-ensemble", "huge-ensemble-mar"],
     )
     def test_one_error_line_and_exit_2(self, tmp_path, command, doc):
         p = tmp_path / "input.json"
@@ -180,6 +185,13 @@ class TestMalformedFiles:
             source = tmp_path / "input.json"
             source.write_text(json.dumps(HUGE_EXPANSION))
         res = run_cli("pfunc", str(source), "--j", "1", *flags, expect=2, memory_limit=2 << 30)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
+    def test_huge_qubit_count_flag(self):
+        res = run_cli("ensemble", "--n", "100000000", "--term", "1,0,0", expect=2, memory_limit=2 << 30)
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
@@ -226,6 +238,18 @@ class TestMar:
         tensor.write_text(run_cli("rho2t", str(state), "--json").stdout)
         out2 = run_cli("mar", str(tensor)).stdout
         assert "radius 0.433012702" in out2
+
+    def test_tilted_product_state(self, tmp_path):
+        # each rank k has one k-fold axis, tilted 0.1 rad from z
+        state = tmp_path / "state.json"
+        state.write_text(run_cli("ensemble", "--n", "10", "--term", "1,0.1,0", "--json").stdout)
+        doc = json.loads(run_cli("mar", str(state), "--json").stdout)
+        assert doc["collinear"] is True
+        for entry in doc["ranks"]:
+            assert len(entry["axes"]) == entry["rank"]
+            for axis in entry["axes"]:
+                assert axis["theta"] == pytest.approx(0.1, abs=1e-8)
+                assert axis["phi"] == pytest.approx(0.0, abs=1e-8)
 
     def test_emit_plot_csv(self, tmp_path):
         state = paper_state_file(tmp_path)
