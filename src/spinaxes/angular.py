@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .halfint import HalfInt, dimension, halfint, m_range
+from .halfint import halfint
 
 MAX_DOUBLED_J = 60
 # Couplings of two supported spins reach twice the single-spin cap.
@@ -215,7 +215,7 @@ def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     """Unitary matrix D^j(phi, theta, psi), rows and columns m = +j .. -j."""
     j = halfint(j)
     d = wigner_d_matrix(j, theta)
-    mvals = np.array([float(m) for m in m_range(j)])
+    mvals = np.arange(j.doubled, -j.doubled - 1, -2) / 2.0
     return np.exp(-1j * phi * mvals)[:, None] * d * np.exp(-1j * psi * mvals)[None, :]
 
 

@@ -12,7 +12,10 @@ parameters directly:
     rho = integral lambda(Omega) |alpha><alpha| dOmega,
     t^k_q = c_k(j) integral lambda(Omega) Y^k_q(Omega) dOmega,
 
-with the rank-dependent scale c_k(j) = sqrt(4 pi) <j j, k 0|j j>.  The two
+with the rank-dependent scale c_k(j) = sqrt(4 pi) <j j, k 0|j j>, read in
+floating point from the order-0 tensor-operator diagonal as
+sqrt(4 pi/(2k+1)) <j j| tau^k_0 |j j>, with no exact-rational
+Clebsch-Gordan arithmetic.  The two
 routes agree exactly for band-limited lambda on a large enough grid, which
 the tests exploit as mutual oracles.
 
@@ -29,10 +32,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .angular import MAX_DEGREE, cg_value
+from .angular import MAX_DEGREE
 from .errors import DomainError, NonClassicalWarning, ValidationError
-from .halfint import HalfInt, dimension, halfint, m_range
-from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_mirror
+from .halfint import halfint
+from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_mirror, _order_block, _order_stack
 
 NORMALIZATION_TOL = 1e-8
 REALITY_TOL = 1e-10
@@ -45,30 +48,25 @@ def coherent_state(j, theta: float, phi: float) -> np.ndarray:
     """Amplitude vector of |alpha(theta, phi)>, ordered m = +j .. -j."""
     j = halfint(j)
     _check_spin(j)
-    return _coherent_amplitudes(j, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    return _coherent_amplitudes(j.doubled, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
 
 
-def _coherent_amplitudes(j: HalfInt, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Amplitudes stacked along the last axis, for scalar or array angles."""
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    dj = j.doubled
-    cols = []
-    for m in m_range(j):
-        jp = (dj + m.doubled) // 2
-        jm = (dj - m.doubled) // 2
-        amp = math.sqrt(math.comb(dj, jp)) * c**jp * s**jm * np.exp(-1j * float(m) * phi)
-        cols.append(amp)
-    return np.stack(cols, axis=-1)
+def _coherent_amplitudes(dj: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Amplitudes of spin dj/2 along the last axis, for scalar or array angles."""
+    dm = np.arange(dj, -dj - 1, -2)  # doubled m, +j .. -j
+    jp, jm = (dj + dm) // 2, (dj - dm) // 2
+    binom = np.sqrt([float(math.comb(dj, i)) for i in jp])
+    c, s, phi = np.cos(theta / 2.0)[..., None], np.sin(theta / 2.0)[..., None], phi[..., None]
+    return binom * c**jp * s**jm * np.exp(-0.5j * dm * phi)
 
 
 def multipole_scale(j, k: int) -> float:
-    """The constant c_k(j) = sqrt(4 pi) <j j, k 0 | j j>."""
+    """The constant c_k(j) = sqrt(4 pi) <j j, k 0 | j j> = sqrt(4 pi/(2k+1)) <j j| tau^k_0 |j j>."""
     j = halfint(j)
     _check_spin(j)
     if not 0 <= k <= j.doubled:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
-    return math.sqrt(4 * math.pi) * cg_value(j, HalfInt(2 * k), j, j, HalfInt(0), j)
+    return math.sqrt(4 * math.pi / (2 * k + 1)) * float(_order_stack(j.doubled)[0, k, 0])
 
 
 def _check_l_max(l_max) -> None:
@@ -331,7 +329,7 @@ def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDen
         grid = default_grid(lam.l_max, j)
     vals, total = _checked_values(lam, grid)
     th, ph = grid.mesh()
-    amps = _coherent_amplitudes(j, th.ravel(), ph.ravel())  # (nodes, dim)
+    amps = _coherent_amplitudes(j.doubled, th.ravel(), ph.ravel())  # (nodes, dim)
     w = (grid.weights() * vals).ravel() / total
     rho = (amps.T * w) @ amps.conj()
     rho = 0.5 * (rho + rho.conj().T)
@@ -357,7 +355,11 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
 
     The product of harmonics collapses to zonal terms, leaving the closed
     form t^k_0 = c_k sqrt((2k+1)/4pi) <l 0, k 0|l 0><l m, k 0|l m> and
-    t^k_q = 0 for q != 0; odd ranks vanish by parity.
+    t^k_q = 0 for q != 0; odd ranks vanish by parity.  Both factors of
+    the Gaunt product are order-0 tensor-operator diagonals on spin l,
+    <l m, k 0|l m> = <l m| tau^k_0 |l m> / sqrt(2k+1), zero for k > 2l,
+    and c_k is one on spin j, so t^k_0 is a product of three of them over
+    2k+1.
     """
     j = halfint(j)
     _check_spin(j)
@@ -365,10 +367,11 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
         raise DomainError("degree and order must be ints")
     if l < 0 or abs(m) > l:
         raise DomainError(f"invalid harmonic indices l = {l}, m = {m}")
+    if l > MAX_DEGREE:
+        raise DomainError(f"degree l = {l} exceeds the supported range (l <= {MAX_DEGREE})")
+    gaunt, scale = _order_block(2 * l, 0), _order_stack(j.doubled)[0]
     blocks = [np.zeros(2 * k + 1, dtype=complex) for k in range(j.doubled + 1)]
-    for k in range(j.doubled + 1):
-        ck = multipole_scale(j, k)
-        gaunt = cg_value(l, k, l, 0, 0, 0) * cg_value(l, k, l, m, 0, m)
-        blocks[k][k] = ck * math.sqrt((2 * k + 1) / (4 * math.pi)) * gaunt
+    for k in range(0, min(j.doubled, 2 * l) + 1, 2):
+        blocks[k][k] = scale[k, 0] * gaunt[k, l] * gaunt[k, l - m] / (2 * k + 1)
     blocks[0][0] = 1.0
     return TensorParams(j, tuple(blocks))

@@ -15,9 +15,11 @@ idea of Racah 1942, tensor operators from J+- and Jz alone): the nonzero
 diagonals of tau^k_q, k = |q| .. 2j, are an orthogonal family of discrete
 polynomials in m times the diagonal of (J-)^|q|, generated by a three-term
 Lanczos recursion in m with full reorthogonalization.  They agree with the
-exact Clebsch-Gordan values to about 6e-15 at 2j = 60.  One cached table
-per j holds every tau^k_q; ``rho_to_t`` and ``t_to_rho`` are one product
-with it each.
+exact Clebsch-Gordan values to about 6e-15 at 2j = 60.  One cached,
+zero-padded stack per j, S[p, k, c] for the order -p, holds every
+nonzero diagonal; ``tau_operator``, ``rho_to_t`` and ``t_to_rho`` all read
+it, the conversions as one contraction of S with the diagonals of rho or
+with the rank blocks.
 
 ``rotate_t`` applies the same active rotation to the parameters that
 U(phi, theta, psi) applies to the state, so that
@@ -214,19 +216,14 @@ def _order_block(dj: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _tau_table(dj: int) -> np.ndarray:
-    """Read-only real table; row k^2 + k + q, as in np.concatenate(t.ranks), is vec(tau^k_q)."""
+def _order_stack(dj: int) -> np.ndarray:
+    """Read-only S[p, k, c] = _order_block(dj, p)[k - p, c], zero for k < p or c > 2j - p."""
     dim = dj + 1
-    table = np.zeros((dim * dim, dim * dim))
+    stack = np.zeros((dim, dim, dim))
     for p in range(dim):
-        block = _order_block(dj, p)
-        k = np.arange(p, dim)[:, None]
-        c = np.arange(dim - p)
-        table[k * k + k - p, (c + p) * dim + c] = block
-        # tau^k_p = (-1)^p (tau^k_-p)^T
-        table[k * k + k + p, c * dim + c + p] = (-1.0) ** p * block
-    table.setflags(write=False)
-    return table
+        stack[p, p:, : dim - p] = _order_block(dj, p)
+    stack.setflags(write=False)
+    return stack
 
 
 def tau_operator(j, k: int, q: int) -> np.ndarray:
@@ -242,22 +239,26 @@ def tau_operator(j, k: int, q: int) -> np.ndarray:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
     if abs(q) > k:
         raise DomainError(f"order q = {q} outside |q| <= {k}")
-    diagonal = _order_block(j.doubled, abs(q))[k - abs(q)]
+    diagonal = _order_stack(j.doubled)[abs(q), k, : j.doubled + 1 - abs(q)]
     return (-1.0) ** max(q, 0) * np.diag(diagonal, q).astype(complex)
 
 
 def rho_to_t(rho: SpinDensityMatrix) -> TensorParams:
     """Tensor parameters t^k_q = Tr(rho tau^k_q)."""
     dj = rho.j.doubled
-    # Tr(rho tau) = vec(tau) . vec(rho^T), real and imaginary parts apart
-    v = rho.matrix.T.ravel()
-    re, im = np.stack((v.real, v.imag)) @ _tau_table(dj).T
-    flat = re + 1j * im
-    blocks = [flat[k * k : (k + 1) ** 2] for k in range(dj + 1)]
-    # Tr(rho tau^0_0) is exactly the trace, and the conjugation identity
-    # holds to rounding; snap both so the table validates cleanly.
+    c = np.arange(dj + 1)
+    # d[p, c] = <j m| rho |j m-p> at m = j - c, read from the Hermitian part so
+    # that the conjugation identity holds exactly; entries past the end of
+    # the p-th diagonal meet zeros of the stack.
+    h = 0.5 * (rho.matrix + rho.matrix.conj().T)
+    d = h[c, np.minimum(c + c[:, None], dj)]
+    low = np.einsum("pkc,pc->kp", _order_stack(dj), d)  # low[k, p] = t^k_{-p}
+    q = np.arange(1, dj + 1)
+    full = np.concatenate((low[:, ::-1], (-1.0) ** q * low[:, 1:].conj()), axis=1)  # q = -2j .. 2j
+    blocks = [full[k, dj - k : dj + k + 1] for k in range(dj + 1)]
+    # Tr(rho tau^0_0) is exactly the trace
     blocks[0][0] = 1.0
-    return TensorParams(rho.j, tuple(0.5 * (b + _conjugation_mirror(b)) for b in blocks))
+    return TensorParams(rho.j, tuple(blocks))
 
 
 def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
@@ -267,11 +268,17 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
     below -1e-10; Hermiticity and unit trace always hold by construction.
     """
     dim = t.j.doubled + 1
-    # tau^dag = tau^T: the product with the table is vec((2j+1) rho^T)
-    flat = np.concatenate(t.ranks)
-    re, im = np.stack((flat.real, flat.imag)) @ _tau_table(t.j.doubled)
-    acc = (re + 1j * im).reshape(dim, dim).T / dim
-    acc = 0.5 * (acc + acc.conj().T)
+    c = np.arange(dim)
+    up = np.zeros((dim, dim), dtype=complex)  # up[k, p] = t^k_p
+    for k, block in enumerate(t.ranks):
+        up[k, : k + 1] = block[k:]
+    # tau^k_p^dag = (-1)^p tau^k_-p fills the p-th lower diagonal; Hermiticity
+    # gives the upper ones, and halving p = 0 keeps the diagonal counted once.
+    lower = np.einsum("pkc,kp->pc", _order_stack(dim - 1), up) * ((-1.0) ** c / dim)[:, None]
+    lower[0] *= 0.5
+    acc = np.zeros((2 * dim - 1, dim), dtype=complex)  # rows past 2j take the stack's padding
+    acc[c + c[:, None], c] = lower
+    acc = acc[:dim] + acc[:dim].conj().T
     rho = SpinDensityMatrix(t.j, acc)
     if not rho.is_physical:
         warnings.warn(

@@ -177,8 +177,13 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize(
         "source, flags",
-        [("expansion", []), ("uniform", ["--lmax", "100000000"]), ("uniform", ["--lmax", "-5"])],
-        ids=["huge-l_max-file", "huge-lmax-flag", "negative-lmax-flag"],
+        [
+            ("expansion", []),
+            ("uniform", ["--lmax", "100000000"]),
+            ("uniform", ["--lmax", "-5"]),
+            ("y2:l=100000000,m=0", []),
+        ],
+        ids=["huge-l_max-file", "huge-lmax-flag", "negative-lmax-flag", "huge-y2-degree"],
     )
     def test_pfunc_degree_bound(self, tmp_path, source, flags):
         if source == "expansion":

@@ -23,6 +23,7 @@ from spinaxes import (
     rho_to_t,
     spherical_harmonic,
     t_from_distribution,
+    wigner_D_matrix,
     ylm_squared_t,
 )
 from spinaxes.pfunc import _legendre_table
@@ -72,6 +73,15 @@ class TestCoherentState:
             jn = x * jx_matrix(dj) + y * jy_matrix(dj) + z * jz_matrix(dj)
             assert np.vdot(v, jn @ v).real == pytest.approx(dj / 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dj", [1, 5, 40, 60])
+    def test_is_first_column_of_wigner_D(self, dj):
+        # <j m|alpha(theta, phi)> = D^j_{m j}(phi, theta, 0)
+        rng = np.random.default_rng(dj)
+        for _ in range(5):
+            theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            column = wigner_D_matrix(h(dj), phi, theta, 0.0)[:, 0]
+            np.testing.assert_allclose(coherent_state(h(dj), theta, phi), column, rtol=0, atol=1e-14)
+
     def test_array_angles(self):
         thetas = np.array([0.3, 1.2, 2.8])
         phis = np.array([0.0, 2.0, 5.0])
@@ -83,12 +93,13 @@ class TestCoherentState:
 
 class TestMultipoleScale:
     def test_matches_exact_coefficient(self):
-        for dj in (1, 2, 3, 4):
+        for dj in range(61):
             for k in range(dj + 1):
                 want = math.sqrt(4.0 * math.pi) * cg_value(
                     h(dj), h(2 * k), h(dj), h(dj), h(0), h(dj)
                 )
-                assert multipole_scale(h(dj), k) == pytest.approx(want, abs=1e-15)
+                tol = 1e-15 if dj <= 4 else 1e-14
+                assert multipole_scale(h(dj), k) == pytest.approx(want, abs=tol)
 
     def test_rank_zero(self):
         assert multipole_scale(h(3), 0) == pytest.approx(math.sqrt(4.0 * math.pi), abs=1e-15)
@@ -361,6 +372,19 @@ class TestYlmSquared:
         assert t.item(1, 0) == 0.0
         assert t.item(3, 0) == 0.0
 
+    def test_matches_exact_gaunt_product(self):
+        # t^k_0 = c_k sqrt((2k+1)/4pi) <l 0, k 0|l 0><l m, k 0|l m>, exact CG as the oracle
+        for dj in range(13):
+            j = h(dj)
+            for l in range(7):
+                for m in range(-l, l + 1):
+                    t = ylm_squared_t(l, m, j)
+                    for k in range(1, dj + 1):
+                        ck = math.sqrt(4.0 * math.pi) * cg_value(j, h(2 * k), j, j, h(0), j)
+                        gaunt = cg_value(l, k, l, 0, 0, 0) * cg_value(l, k, l, m, 0, m)
+                        want = ck * math.sqrt((2 * k + 1) / (4.0 * math.pi)) * gaunt
+                        assert t.item(k, 0) == pytest.approx(want, abs=1e-14)
+
     def test_y00_squared_is_uniform(self):
         t = ylm_squared_t(0, 0, h(2))
         for k in range(1, 3):
@@ -371,6 +395,11 @@ class TestYlmSquared:
             ylm_squared_t(1, 2, h(2))
         with pytest.raises(DomainError):
             ylm_squared_t(-1, 0, h(2))
+        # checked before any table of size 2l + 1 is built
+        with pytest.raises(DomainError, match="supported range"):
+            ylm_squared_t(61, 0, h(2))
+        with pytest.raises(DomainError, match="supported range"):
+            ylm_squared_t(100_000_000, 0, h(2))
 
 
 def _ylm_squared_callable(l, m):

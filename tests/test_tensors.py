@@ -19,7 +19,7 @@ from spinaxes import (
     t_to_rho,
     tau_operator,
 )
-from spinaxes.tensors import _tau_table
+from spinaxes.tensors import _conjugation_mirror, _order_stack
 
 from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
 
@@ -107,19 +107,39 @@ def exact_tau_table(dj):
     return table
 
 
+def stack_ops(dj, k):
+    """tau^k_q for q = -k .. k, rebuilt from the order-block stack.
+
+    The order -p operator holds stack[p, k] on its p-th lower diagonal, and
+    tau^k_p = (-1)^p (tau^k_-p)^T.
+    """
+    dim = dj + 1
+    stack = _order_stack(dj)
+    ops = np.zeros((2 * k + 1, dim, dim))
+    for p in range(k + 1):
+        lower = np.diag(stack[p, k, : dim - p], -p)
+        ops[k - p] = lower
+        ops[k + p] = (-1.0) ** p * lower.T
+    return ops
+
+
+def stack_tau_table(dj):
+    """The tau table of exact_tau_table's layout, rebuilt from the stack."""
+    return np.concatenate([stack_ops(dj, k) for k in range(dj + 1)]).reshape((dj + 1) ** 2, -1)
+
+
 class TestTauTable:
     @pytest.mark.parametrize("dj", range(17))
     def test_matches_exact_cg(self, dj):
-        np.testing.assert_allclose(_tau_table(dj), exact_tau_table(dj), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stack_tau_table(dj), exact_tau_table(dj), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("dj", [40, 60])
     def test_commutators_with_angular_momentum(self, dj):
         # [Jz, tau^k_q] = q tau^k_q and [J-, tau^k_q] = sqrt((k+q)(k-q+1)) tau^k_{q-1}
         dim = dj + 1
         jz, jm = jz_matrix(dj), jplus_matrix(dj).T
-        table = _tau_table(dj)
         for k in range(dim):
-            ops = table[k * k : (k + 1) ** 2].reshape(2 * k + 1, dim, dim)
+            ops = stack_ops(dj, k)
             q = np.arange(-k, k + 1)[:, None, None]
             lowered = np.concatenate((np.zeros((1, dim, dim)), ops[:-1]))
             np.testing.assert_allclose(jz @ ops - ops @ jz, q * ops, rtol=0, atol=1e-12)
@@ -131,13 +151,14 @@ class TestTauTable:
     def test_rows_orthogonal(self, dj):
         from scipy import sparse
 
-        table = sparse.csr_matrix(_tau_table(dj))
+        table = sparse.vstack(
+            [sparse.csr_matrix(stack_ops(dj, k).reshape(2 * k + 1, -1)) for k in range(dj + 1)]
+        )
         gram = table @ table.T - (dj + 1) * sparse.identity(table.shape[0])
         assert abs(gram).max() < 1e-12
 
     def test_seeded_entries_at_top_spin(self):
         dj, dim = 60, 61
-        table = _tau_table(dj)
         rng = np.random.default_rng(5)
         for _ in range(200):
             k = int(rng.integers(0, dim))
@@ -145,12 +166,12 @@ class TestTauTable:
             dm = int(rng.choice(np.arange(min(dj, dj - 2 * q), max(-dj, -dj - 2 * q) - 1, -2)))
             dmp = dm + 2 * q
             want = math.sqrt(2 * k + 1) * cg_value(h(dj), h(2 * k), h(dj), h(dm), h(2 * q), h(dmp))
-            got = table[k * k + k + q, (dj - dmp) // 2 * dim + (dj - dm) // 2]
+            got = stack_ops(dj, k)[k + q, (dj - dmp) // 2, (dj - dm) // 2]
             assert got == pytest.approx(want, abs=1e-13)
 
     def test_read_only(self):
         with pytest.raises(ValueError):
-            _tau_table(3)[0, 0] = 2.0
+            _order_stack(3)[0, 0, 0] = 2.0
 
 
 class TestSpinDensityMatrix:
@@ -240,6 +261,20 @@ class TestRoundTrip:
             rho = t_to_rho(t)
         assert rho.min_eigenvalue() == pytest.approx(-0.25, abs=1e-12)
         assert not rho.is_physical
+
+    def test_nearly_hermitian_input_reads_its_hermitian_part(self):
+        rng = np.random.default_rng(43)
+        for dj in (1, 4, 13, 40):
+            herm = random_density(rng, dj + 1)
+            skew = rng.normal(size=(dj + 1, dj + 1)) + 1j * rng.normal(size=(dj + 1, dj + 1))
+            skew = skew - skew.conj().T
+            rho = SpinDensityMatrix(h(dj), herm + 0.5e-13 / np.abs(skew).max() * skew)
+            assert np.abs(rho.matrix - rho.matrix.conj().T).max() > 1e-14
+            t = rho_to_t(rho)
+            hermitian_part = 0.5 * (rho.matrix + rho.matrix.conj().T)
+            assert t.max_abs_diff(rho_to_t(SpinDensityMatrix(h(dj), hermitian_part))) < 1e-15
+            for block in t.ranks:
+                np.testing.assert_array_equal(block, _conjugation_mirror(block))
 
     def test_maximally_mixed(self):
         rho = maximally_mixed(h(3))
