@@ -14,7 +14,13 @@ projecting t onto s recovers a signed radius.  An exact k-fold axis, as in
 product and uniaxial states, comes back from the companion matrix as k
 roots scattered by about eps^(1/k), so ``extract_mar`` first tries the
 whole rank as one axis, then pairs the roots and replaces each cluster by
-the axis of the mean of its roots.  The decomposition is
+the axis of the mean of its roots.  A block rebuilt with an axis at Z has a
+polynomial vanishing there, so its residual is at least
+
+    |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i),
+
+and a collapse trial whose floor exceeds the tolerance is skipped without
+being built; the floor never accepts one.  The decomposition is
 
     t^k_q ~= r_k s^k_q(axes),    r_k real of either sign,
 
@@ -23,6 +29,7 @@ with the stored radius = |r_k| and the sign kept alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +75,8 @@ class Axis:
         with phi in [0, pi) is chosen instead.
         """
         u = np.asarray(u, dtype=float)
+        # an exact power-of-two scale keeps the norm clear of overflow and underflow
+        u = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
         n = np.linalg.norm(u)
         if n < 1e-300:
             raise DomainError("zero vector spans no axis")
@@ -81,7 +90,8 @@ class Axis:
         if abs(z) <= EQUATOR_TOL and phi >= math.pi:
             phi -= math.pi
             z = -z
-        return cls(math.acos(min(max(z, -1.0), 1.0)), phi)
+        # acos(z) would lose half its digits near the poles, where z is close to 1
+        return cls(math.atan2(math.hypot(x, y), z), phi)
 
 
 def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
@@ -92,8 +102,18 @@ def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
     """
     if not isinstance(k, int) or not 1 <= k <= t.max_rank:
         raise DomainError(f"rank k = {k} outside 1 .. {t.max_rank}")
-    block = t.rank(k)
-    return np.array([math.sqrt(math.comb(2 * k, i)) * block[i] for i in range(2 * k + 1)])
+    return _root_binomials(k) * t.rank(k)
+
+
+@functools.cache
+def _root_binomials(k: int) -> np.ndarray:
+    """sqrt(C(2k, i)) for i = 0 .. 2k, read-only.
+
+    Float binomials: C(2k, i) overflows int64 from k = 34.
+    """
+    b = np.sqrt([float(math.comb(2 * k, i)) for i in range(2 * k + 1)])
+    b.flags.writeable = False
+    return b
 
 
 def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
@@ -198,16 +218,44 @@ def _sorted_axes(directions) -> list[Axis]:
     return sorted((Axis.from_direction(d) for d in directions), key=lambda a: (-a.theta, a.phi))
 
 
-def _cluster_point(z: np.ndarray, points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Sphere point of the mean of a cluster's roots on one side of it (of
-    each pair, the root nearer the group's first upper-hemisphere root).
-    The mean is a symmetric function of the cluster, so it keeps the
-    accuracy its scattered members lose; the -1/conj(Z) images would not
-    (that map is anti-holomorphic)."""
-    ends = pairs.ravel()
-    ref = points[ends[np.argmax(points[ends, 2] >= 0.0)]]
-    near = np.where(points[pairs[:, 0]] @ ref >= points[pairs[:, 1]] @ ref, pairs[:, 0], pairs[:, 1])
-    return _sphere_points(np.mean(z[near]))
+def _cluster_roots(z: np.ndarray, points: np.ndarray, pairs: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Mean root of each group of pairs (rows of the boolean ``groups``), taken
+    on one side of it: of each pair, the root nearer the group's first
+    upper-hemisphere root, or its first root if none is.  The mean is a
+    symmetric function of the cluster, so it keeps the accuracy its
+    scattered members lose; the -1/conj(Z) images would not (that map is
+    anti-holomorphic)."""
+    ends = np.repeat(groups, 2, axis=1)
+    upper = ends & (points[pairs.ravel(), 2] >= 0.0)
+    ref = points[pairs.ravel()[np.where(upper.any(axis=1), np.argmax(upper, axis=1), np.argmax(ends, axis=1))]]
+    near = np.where(points[pairs[:, 0]] @ ref.T >= points[pairs[:, 1]] @ ref.T, pairs[:, :1], pairs[:, 1:]).T
+    # np.mean of each group's own roots, for all groups of one size at once (a
+    # zero-padded row sum would add them in another order)
+    rows, cols = np.nonzero(groups)
+    roots = z[near[rows, cols]]
+    sizes = groups.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty(len(groups), dtype=complex)
+    for m in np.flatnonzero(np.bincount(sizes)):
+        same = np.flatnonzero(sizes == m)
+        means[same] = np.mean(roots[starts[same, None] + np.arange(m)], axis=1)
+    return means
+
+
+def _residual_floor(coeffs: np.ndarray, z) -> np.ndarray:
+    """Lower bound on the fit residual of every block rebuilt with an axis at each Z.
+
+    Such a block's polynomial vanishes at Z, so for every radius r
+    |P_t(Z)| = |sum_i sqrt(C(2k, i)) (t - r s)_{i-k} Z^(2k-i)|
+             <= max_q |t_q - r s_q| * sum_i sqrt(C(2k, i)) |Z|^(2k-i).
+    Beyond the unit circle both sums are taken at 1/Z on the reversed
+    coefficients (the binomials are symmetric), so Z = inf gives |t^k_{-k}|.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    outer = np.abs(z) > 1.0
+    powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), len(coeffs), increasing=True)
+    value = np.abs(np.where(outer, powers @ coeffs, powers @ coeffs[::-1]))
+    return value / (np.abs(powers) @ _root_binomials((len(coeffs) - 1) // 2))
 
 
 def _zonal_axis(block: np.ndarray) -> np.ndarray:
@@ -235,13 +283,24 @@ def _rank_axes(block: np.ndarray, coeffs: np.ndarray, floor: float) -> tuple:
     if larger.  The whole rank is tried first at ``_zonal_axis``: a k-fold
     axis may scatter its roots wider than any window.  Otherwise the roots
     are paired, axis pairs closer than 0.5 rad join, nearest first, and
-    each join tries its group at ``_cluster_point``.  Pairs left out of
-    every kept collapse must be antipodal within ``PAIRING_TOL``.
+    each join tries its group at the mean of its roots (``_cluster_roots``).
+    Pairs left out of every kept collapse must be antipodal within
+    ``PAIRING_TOL``.
+
+    A trial with an axis at Z cannot rebuild the block closer than the
+    floor |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i) (``_residual_floor``,
+    one dot product), so a trial whose floor exceeds the bound is skipped
+    before its k-fold product is built.  The floor only skips: every trial
+    that runs is accepted or rejected by its fitted residual alone.
     """
     k = (len(block) - 1) // 2
     bound = max(_COLLAPSE_RTOL * float(np.linalg.norm(block)), floor)
     zonal = _zonal_axis(block)
-    if fit_radius(block, _stretched(np.tile(zonal, (k, 1))))[1] <= bound:
+    x, y, w = zonal if zonal[2] >= 0.0 else -zonal
+    if (
+        _residual_floor(coeffs, complex(x, y) / (1.0 + w))[0] <= bound
+        and fit_radius(block, _stretched(np.tile(zonal, (k, 1))))[1] <= bound
+    ):
         return (Axis.from_direction(zonal),) * k
     raw = _raw_roots(coeffs)
     z = np.concatenate([raw, np.full(2 * k - len(raw), complex(math.inf))])
@@ -254,17 +313,22 @@ def _rank_axes(block: np.ndarray, coeffs: np.ndarray, floor: float) -> tuple:
     angle = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", units[a_idx], units[b_idx])), 1.0))
     close = np.flatnonzero(angle < _CLUSTER_WINDOW)
     group = np.arange(k)
+    joins = []
     for c in close[np.argsort(angle[close], kind="stable")]:
         ga, gb = group[a_idx[c]], group[b_idx[c]]
-        if ga == gb:
-            continue
-        group[group == gb] = ga
-        members = group == ga
-        trial = units.copy()
-        trial[members] = _cluster_point(z, points, pairs[members])
-        if fit_radius(block, _stretched(trial))[1] <= bound:
-            units = trial
-            collapsed[members] = True
+        if ga != gb:
+            group[group == gb] = ga
+            joins.append(group == ga)
+    if joins:
+        joins = np.array(joins)
+        roots = _cluster_roots(z, points, pairs, joins)
+        kept = _residual_floor(coeffs, roots) <= bound
+        for members, point in zip(joins[kept], _sphere_points(roots[kept])):
+            trial = units.copy()
+            trial[members] = point
+            if fit_radius(block, _stretched(trial))[1] <= bound:
+                units = trial
+                collapsed[members] = True
     _check_pairing(z, pairs, np.where(collapsed, 0.0, gaps))
     return tuple(_sorted_axes(units))
 
@@ -278,8 +342,7 @@ def _stretched(units: np.ndarray) -> np.ndarray:
     prod = np.ones(1, dtype=complex)
     for quadratic in quadratics:
         prod = np.convolve(prod, quadratic)
-    # float binomials: C(2k, i) overflows int64 from k = 34
-    return prod / np.sqrt([float(math.comb(2 * k, i)) for i in range(2 * k + 1)])
+    return prod / _root_binomials(k)
 
 
 def axes_to_tensor(axes, k: int) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinaxes import (
     Axis,
@@ -22,6 +24,7 @@ from spinaxes import (
     roots_to_axes,
     rotate_t,
 )
+from spinaxes import axes
 
 from oracles import random_density
 
@@ -29,6 +32,7 @@ h = HalfInt
 
 SQ3 = math.sqrt(3.0)
 SEEDED_DIRECTION = tuple(np.random.default_rng(45).uniform([0.0, 0.0], [math.pi, 2.0 * math.pi]))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def paper_tensor():
@@ -83,6 +87,29 @@ class TestAxisCanonicalization:
         # phi = 2 pi - 1e-15 is representable, but still the direction of phi = 0
         b = Axis.from_direction([0.1, -1e-16, 0.99])
         assert b.phi == 0.0
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-7])
+    def test_theta_near_the_pole_is_accurate(self, theta):
+        # acos(cos theta) returned 0.0 at 1e-9 and was 4e-4 off at 1e-7
+        a = Axis.from_direction([math.sin(theta) * math.cos(0.7), math.sin(theta) * math.sin(0.7), math.cos(theta)])
+        assert a.theta == pytest.approx(theta, rel=1e-14)
+        assert a.phi == pytest.approx(0.7, rel=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(FINITE, FINITE, FINITE).filter(any))
+    def test_any_direction_has_a_canonical_axis(self, u):
+        a = Axis.from_direction(u)
+        d = np.array(u) / np.abs(u).max()
+        d /= np.linalg.norm(d)
+        # within EQUATOR_TOL of the equator phi picks the endpoint, so theta may pass pi/2 by that much
+        assert 0.0 <= a.theta <= math.pi / 2.0 + axes.EQUATOR_TOL + 1e-15
+        assert 0.0 <= a.phi < 2.0 * math.pi
+        if abs(d[2]) < axes.EQUATOR_TOL / 2.0:
+            assert a.phi < math.pi
+        # phi within 1e-15 of 2 pi snaps to 0, which moves the direction by up to
+        # 1e-15 plus the rounding of phi
+        v = a.unit_vector
+        assert min(np.abs(v - d).max(), np.abs(v + d).max()) <= 2e-15
 
 
 class TestMarPolynomial:
@@ -380,6 +407,15 @@ class TestExtractMar:
         for d, m in zip(dirs, mult):
             assert sum(np.linalg.norm(np.cross(g, d)) < 1e-8 for g in got) == m
 
+    @pytest.mark.parametrize("theta", [1e-9, 1e-7])
+    def test_coherent_state_near_the_pole(self, theta):
+        from spinaxes import BlochVector, product_state_in_jm
+
+        d = BlochVector(theta, 0.3)
+        for entry in extract_mar(rho_to_t(product_state_in_jm(d, 16))).ranks:
+            for a in entry.axes:
+                assert np.linalg.norm(a.unit_vector - d.cartesian) < 1e-14
+
     def test_mixed_directions_are_not_collinear(self):
         y20 = math.sqrt(5.0 / (16.0 * math.pi))
         y22 = math.sqrt(15.0 / (32.0 * math.pi))
@@ -398,6 +434,74 @@ class TestExtractMar:
         for a in m.rank(2).axes:
             assert a.unit_vector[2] == pytest.approx(0.0, abs=1e-7)
         assert not collinearity_check(m)
+
+
+class TestResidualFloor:
+    """Any block rebuilt with an axis at Z has a polynomial vanishing at Z, so
+    its fit residual is at least the floor at Z: a trial whose floor is above
+    the bound cannot pass and is skipped."""
+
+    @staticmethod
+    def generic_table(dj):
+        return rho_to_t(SpinDensityMatrix(h(dj), random_density(np.random.default_rng(dj), dj + 1)))
+
+    @staticmethod
+    def assert_below(floor, block, units):
+        # a trial that rebuilds the block leaves a residual of rounding, and the
+        # floor's own rounding is about 1e-16 of the block, far below any bound
+        residual = fit_radius(block, axes._stretched(units))[1]
+        assert floor <= residual * (1.0 + 1e-9) + 1e-14 * np.abs(block).max()
+
+    @pytest.mark.parametrize("dj", [4, 12, 24, 40])
+    def test_floor_is_below_every_trial_residual(self, dj, monkeypatch):
+        t = self.generic_table(dj)
+        cluster_roots, seen = axes._cluster_roots, []
+
+        def recording(z, points, pairs, groups):
+            roots = cluster_roots(z, points, pairs, groups)
+            seen.append((points, pairs, groups, roots))
+            return roots
+
+        monkeypatch.setattr(axes, "_cluster_roots", recording)
+        extract_mar(t)
+        assert seen or dj == 4  # no two axes of that state lie within the window
+        for points, pairs, groups, roots in seen:
+            k = groups.shape[1]
+            block = t.rank(k)
+            units = points[pairs[:, 0]] - points[pairs[:, 1]]
+            units /= np.linalg.norm(units, axis=1)[:, None]
+            floors = axes._residual_floor(mar_polynomial(t, k), roots)
+            for members, point, floor in zip(groups, axes._sphere_points(roots), floors):
+                trial = units.copy()
+                trial[members] = point
+                self.assert_below(floor, block, trial)
+        for k in range(1, dj + 1):
+            block = t.rank(k)
+            zonal = axes._zonal_axis(block)
+            x, y, w = zonal if zonal[2] >= 0.0 else -zonal
+            floor = axes._residual_floor(mar_polynomial(t, k), complex(x, y) / (1.0 + w))[0]
+            self.assert_below(floor, block, np.tile(zonal, (k, 1)))
+
+    def test_floor_beyond_the_unit_circle(self):
+        t, k = self.generic_table(12), 6
+        block, coeffs = t.rank(k), mar_polynomial(t, k)
+        rest = [a.unit_vector for a in extract_mar(t).rank(k).axes[1:]]
+        south = axes._residual_floor(coeffs, complex(math.inf))[0]
+        assert south == pytest.approx(abs(block[0]), rel=1e-15)
+        self.assert_below(south, block, np.array([[0.0, 0.0, -1.0]] + rest))
+        u = np.array([0.6, -0.3, -0.5]) / np.linalg.norm([0.6, -0.3, -0.5])
+        z = complex(u[0], u[1]) / (1.0 + u[2])
+        assert abs(z) > 1.0
+        self.assert_below(axes._residual_floor(coeffs, z)[0], block, np.array([u] + rest))
+
+    def test_rejected_collapses_are_not_built(self, monkeypatch):
+        # a generic state has no repeated axis, so past the rank-1 zonal trial
+        # only each rank's final fit builds a stretched tensor
+        calls = []
+        stretched = axes._stretched
+        monkeypatch.setattr(axes, "_stretched", lambda units: calls.append(len(units)) or stretched(units))
+        extract_mar(self.generic_table(24))
+        assert len(calls) <= 24 + 1
 
 
 class TestEquivariance:
