@@ -162,6 +162,15 @@ def cg_value(j1, j2, j, m1, m2, m) -> float:
     return float(cg(j1, j2, j, m1, m2, m))
 
 
+@lru_cache(maxsize=None)
+def _ladder_weights() -> np.ndarray:
+    """R[a, b] = sqrt((a + 1)(b + 1)) for a, b < _MAX_DOUBLED_ARG, read-only."""
+    n = np.arange(1.0, _MAX_DOUBLED_ARG + 1)
+    r = np.sqrt(np.outer(n, n))
+    r.setflags(write=False)
+    return r
+
+
 def _d_ladder(dj_max: int, beta: float):
     """Yield d^{dj/2}(beta) for dj = 0 .. dj_max, rows and columns m = +j .. -j.
 
@@ -170,18 +179,22 @@ def _d_ladder(dj_max: int, beta: float):
     cos(beta/2), sin(beta/2), weighted by the stretched Clebsch-Gordan
     products sqrt((j +- m')(j +- m)) / 2j.  Square roots of the products
     keep the weights exact integers at beta = 0, so d(0) is the identity.
+    Every step's weights are sub-blocks, some reversed, of one cached table
+    of sqrt((a + 1)(b + 1)), so no step takes a square root.
     """
     p, q = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    r = _ladder_weights()
     d = np.ones((1, 1))
     yield d
     for dj in range(1, dj_max + 1):
-        up = np.arange(dj, 0, -1.0)  # j + m for the first dj rows: dj .. 1
-        down = up[::-1]  # j - m for the last dj rows: 1 .. dj
+        # j - m runs 1 .. dj down the last dj rows, j + m dj .. 1 down the first dj
+        down = r[:dj, :dj]
+        up = down[::-1, ::-1]
         nxt = np.zeros((dj + 1, dj + 1))
-        nxt[:-1, :-1] += p * np.sqrt(np.outer(up, up)) * d
-        nxt[:-1, 1:] -= q * np.sqrt(np.outer(up, down)) * d
-        nxt[1:, :-1] += q * np.sqrt(np.outer(down, up)) * d
-        nxt[1:, 1:] += p * np.sqrt(np.outer(down, down)) * d
+        nxt[:-1, :-1] += p * up * d
+        nxt[:-1, 1:] -= q * down[::-1] * d
+        nxt[1:, :-1] += q * down[:, ::-1] * d
+        nxt[1:, 1:] += p * down * d
         d = nxt / dj
         yield d
 

@@ -83,10 +83,9 @@ class Axis:
         x, y, z = u / n
         if z < -EQUATOR_TOL:
             x, y, z = -x, -y, -z
-        phi = math.atan2(y, x) % (2 * math.pi)
-        # a tiny negative y leaves phi at or within rounding below 2 pi: that is phi = 0
-        if (2 * math.pi - phi) * math.hypot(x, y) < 1e-15:
-            phi = 0.0
+        # a tiny negative y would leave phi at or within rounding below 2 pi; snapping
+        # it to phi = 0 moves the direction by |y|, so only |y| < 1e-15 snaps
+        phi = 0.0 if x > 0.0 and -1e-15 < y < 0.0 else math.atan2(y, x) % (2 * math.pi)
         if abs(z) <= EQUATOR_TOL and phi >= math.pi:
             phi -= math.pi
             z = -z

@@ -19,6 +19,17 @@ Clebsch-Gordan arithmetic.  The two
 routes agree exactly for band-limited lambda on a large enough grid, which
 the tests exploit as mutual oracles.
 
+The grid is a product of theta rings and uniform phi, and an amplitude
+factors as b_a(theta) e^{-i m_a phi} with b real, so the state is summed
+one ring at a time:
+
+    rho_ac = sum_i b_a(theta_i) b_c(theta_i) F_i(c - a),
+    F_i(p) = sum_phi w(theta_i, phi) e^{-i p phi},
+
+with w the normalized node weights times lambda: the same sum over nodes,
+in another order, so a grid too coarse in phi aliases exactly as it would
+node by node.
+
 Weight functions are represented either as callables of (theta, phi) or as
 :class:`SphericalExpansion` coefficient tables over conj(Y^l_m).
 """
@@ -266,8 +277,8 @@ def _checked_values(lam, grid: QuadratureGrid) -> tuple[np.ndarray, float]:
         raise ValidationError(f"weight function integrates to {total:.9g}, expected 1 within 1e-8")
     if vals.min() < NEGATIVITY_FLOOR:
         warnings.warn(
-            f"weight function is negative on the grid (min {vals.min():.6g}); "
-            "the represented state is not a classical mixture of coherent states",
+            f"weight function is negative on the grid (min {vals.min():.6g}), "
+            "so it is a quasi-probability, not a probability density",
             NonClassicalWarning,
             stacklevel=3,
         )
@@ -320,7 +331,13 @@ def t_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> TensorPar
 
 
 def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDensityMatrix:
-    """The state integral lambda(Omega) |alpha(Omega)><alpha(Omega)| dOmega."""
+    """The state integral lambda(Omega) |alpha(Omega)><alpha(Omega)| dOmega.
+
+    Summed one theta ring at a time (see the module docstring): one product
+    gives every ring's phi sums F_i(p) for p = -2j .. 2j, the real ring
+    amplitudes b_a(theta_i) are built once per ring, and one contraction over
+    the rings gives rho.
+    """
     j = halfint(j)
     _check_spin(j)
     if grid is None:
@@ -328,10 +345,13 @@ def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDen
             raise DomainError("a quadrature grid is required for callable weight functions")
         grid = default_grid(lam.l_max, j)
     vals, total = _checked_values(lam, grid)
-    th, ph = grid.mesh()
-    amps = _coherent_amplitudes(j.doubled, th.ravel(), ph.ravel())  # (nodes, dim)
-    w = (grid.weights() * vals).ravel() / total
-    rho = (amps.T * w) @ amps.conj()
+    dj = j.doubled
+    # amplitude a at (theta, phi) is b[theta, a] e^{-i m_a phi} with m_a = j - a
+    b = _coherent_amplitudes(dj, grid.theta, np.zeros_like(grid.theta)).real  # (n_theta, dim)
+    # ring sums f[i, c - a + 2j] = sum_phi w(theta_i, phi) e^{-i (c - a) phi}
+    f = (grid.weights() * vals / total) @ np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1)))
+    idx = np.arange(dj + 1)
+    rho = np.einsum("ia,ic,iac->ac", b, b, f[:, idx - idx[:, None] + dj])
     rho = 0.5 * (rho + rho.conj().T)
     rho /= rho.trace().real
     return SpinDensityMatrix(j, rho)

@@ -5,6 +5,8 @@ exponentials, brute-force coupling), deliberately avoiding the closed-form
 code paths under test.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -104,3 +106,21 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def rho_by_nodes(doubled_j: int, theta: np.ndarray, phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_n w_n |alpha_n><alpha_n| over flat arrays of nodes, one coherent state per node.
+
+    The amplitudes come straight from <j m|alpha> = sqrt(C(2j, j+m))
+    cos^{j+m}(theta/2) sin^{j-m}(theta/2) e^{-i m phi}, m = +j .. -j, with no
+    use of the grid's product structure; the result is made Hermitian and
+    given unit trace as the P-function route does.
+    """
+    dm = np.arange(doubled_j, -doubled_j - 1, -2)
+    jp, jm = (doubled_j + dm) // 2, (doubled_j - dm) // 2
+    binom = np.sqrt([float(math.comb(doubled_j, i)) for i in jp])
+    c, s = np.cos(theta / 2.0)[:, None], np.sin(theta / 2.0)[:, None]
+    amps = binom * c**jp * s**jm * np.exp(-0.5j * dm * phi[:, None])  # (nodes, dim)
+    rho = (amps.T * weights) @ amps.conj()
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real

@@ -7,6 +7,8 @@ from scipy.special import sph_harm_y
 
 from spinaxes.angular import (
     ExactCoefficient,
+    _d_ladder,
+    _ladder_weights,
     cg,
     cg_value,
     spherical_harmonic,
@@ -196,6 +198,18 @@ class TestWignerD:
     def test_beta_zero_is_identity(self):
         for dj in [0, 1, 4, 9]:
             assert np.abs(wigner_d_matrix(h(dj), 0.0) - np.eye(dj + 1)).max() == 0.0
+
+    def test_one_ladder_pass_at_beta_zero_is_exactly_identity(self):
+        # the cached weights are exact integers wherever d(0) needs them
+        for dj, d in enumerate(_d_ladder(120, 0.0)):
+            assert np.abs(d - np.eye(dj + 1)).max() == 0.0
+        assert dj == 120
+
+    def test_ladder_weights_are_read_only(self):
+        r = _ladder_weights()
+        assert r.shape == (120, 120) and not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 2.0
 
     def test_same_axis_composition(self):
         for dj in [1, 2, 5]:

@@ -88,6 +88,16 @@ class TestAxisCanonicalization:
         b = Axis.from_direction([0.1, -1e-16, 0.99])
         assert b.phi == 0.0
 
+    @pytest.mark.parametrize("y, snaps", [(-1.2e-15, False), (-0.9e-15, True), (-1e-18, True)])
+    def test_phi_snap_moves_the_direction_by_less_than_1e_15(self, y, snaps):
+        u = np.array([1.0, y, 0.0])
+        a = Axis.from_direction(u)
+        assert 0.0 <= a.phi < 2.0 * math.pi
+        assert (a.phi == 0.0) == snaps
+        v = a.unit_vector
+        # a snap moves it by |y|; keeping phi leaves only its rounding
+        assert min(np.abs(v - u).max(), np.abs(v + u).max()) <= (1e-15 if snaps else 3e-16)
+
     @pytest.mark.parametrize("theta", [1e-9, 1e-7])
     def test_theta_near_the_pole_is_accurate(self, theta):
         # acos(cos theta) returned 0.0 at 1e-9 and was 4e-4 off at 1e-7
@@ -106,8 +116,8 @@ class TestAxisCanonicalization:
         assert 0.0 <= a.phi < 2.0 * math.pi
         if abs(d[2]) < axes.EQUATOR_TOL / 2.0:
             assert a.phi < math.pi
-        # phi within 1e-15 of 2 pi snaps to 0, which moves the direction by up to
-        # 1e-15 plus the rounding of phi
+        # a y within 1e-15 below zero snaps phi to 0, which moves the direction by
+        # up to 1e-15 plus the rounding of phi
         v = a.unit_vector
         assert min(np.abs(v - d).max(), np.abs(v + d).max()) <= 2e-15
 

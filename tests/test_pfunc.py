@@ -29,7 +29,7 @@ from spinaxes import (
 from spinaxes.pfunc import _legendre_table
 from spinaxes.symmetric import BlochVector
 
-from oracles import jx_matrix, jy_matrix, jz_matrix
+from oracles import jx_matrix, jy_matrix, jz_matrix, rho_by_nodes
 
 h = HalfInt
 
@@ -288,6 +288,51 @@ class TestDistributionRoutes:
             via_rho = rho_to_t(rho_from_distribution(lam, h(dj)))
             assert direct.max_abs_diff(via_rho) < 1e-12
 
+    @pytest.mark.parametrize("dj", [24, 40, 60])
+    def test_two_routes_agree_at_high_spin(self, dj):
+        lam = self._random_classical(np.random.default_rng(dj), 4)
+        direct = t_from_distribution(lam, h(dj))
+        via_rho = rho_to_t(rho_from_distribution(lam, h(dj)))
+        assert direct.max_abs_diff(via_rho) < 1e-12
+
+    @staticmethod
+    def _by_nodes(lam, dj, grid):
+        th, ph = grid.mesh()
+        vals = lam.evaluate(th, ph).real if isinstance(lam, SphericalExpansion) else lam(th, ph)
+        return rho_by_nodes(dj, th.ravel(), ph.ravel(), (grid.weights() * vals).ravel())
+
+    @pytest.mark.parametrize("dj", [1, 2, 5, 24, 40, 60])
+    def test_ring_sum_matches_node_sum(self, dj):
+        lam = self._random_classical(np.random.default_rng(100 + dj), 4)
+        rho = rho_from_distribution(lam, h(dj)).matrix
+        assert np.abs(rho - self._by_nodes(lam, dj, default_grid(4, h(dj)))).max() < 1e-14
+        # an even number of phi nodes
+        grid = QuadratureGrid.build(dj + 6, 2 * dj + 10)
+        rho = rho_from_distribution(lam, h(dj), grid).matrix
+        assert np.abs(rho - self._by_nodes(lam, dj, grid)).max() < 1e-14
+
+    @pytest.mark.parametrize("dj", [1, 2, 5, 24, 40, 60])
+    def test_ring_sum_keeps_phi_aliasing(self, dj):
+        # with n_phi < 4j + 1 phi nodes, e^{-i p phi} for |p| >= n_phi folds onto
+        # order p - n_phi: the continuum state of a zonal weight is diagonal, the grid's is not
+        a = 1.0 / math.sqrt(4.0 * math.pi)
+        lam = SphericalExpansion.from_table(4, {(0, 0): a, (2, 0): 0.1, (4, 0): 0.05})
+        grid = QuadratureGrid.build(dj + 6, dj // 2 + 1)
+        rho = rho_from_distribution(lam, h(dj), grid).matrix
+        assert np.abs(rho - self._by_nodes(lam, dj, grid)).max() < 1e-14
+        continuum = rho_from_distribution(lam, h(dj)).matrix
+        assert np.abs(continuum - np.diag(np.diag(continuum))).max() < 1e-14
+        assert np.abs(rho - continuum).max() > 1e-6
+
+    @pytest.mark.parametrize("dj", [1, 2, 5, 24, 40, 60])
+    def test_ring_sum_of_callable_matches_node_sum(self, dj):
+        def lam(th, ph):
+            return (1.0 + 0.5 * np.cos(th) + 0.3 * np.sin(th) * np.sin(ph)) / (4.0 * math.pi)
+
+        grid = QuadratureGrid.build(dj + 3, 2 * dj + 3)
+        rho = rho_from_distribution(lam, h(dj), grid).matrix
+        assert np.abs(rho - self._by_nodes(lam, dj, grid)).max() < 1e-14
+
     def test_closed_form_at_high_spin(self):
         # t^k_q = c_k a^k_q through the expansion's degree, zero above it
         rng = np.random.default_rng(14)
@@ -321,6 +366,22 @@ class TestDistributionRoutes:
         lam = SphericalExpansion.from_table(1, {(0, 0): a, (1, 0): 0.5})
         with pytest.warns(NonClassicalWarning):
             t_from_distribution(lam, h(1))
+
+    def test_negativity_above_2j_warns_about_the_weight_only(self):
+        # the negative part lies in degree 4 > 2j, which never reaches rho: the
+        # state is the maximally mixed one, and the warning must not say otherwise
+        a = 1.0 / math.sqrt(4.0 * math.pi)
+        lam = SphericalExpansion.from_table(4, {(0, 0): a, (4, 0): 0.6})
+        with pytest.warns(NonClassicalWarning) as caught:
+            direct = t_from_distribution(lam, h(2))
+            via_rho = rho_to_t(rho_from_distribution(lam, h(2)))
+        for t in (direct, via_rho):
+            for k in range(1, 3):
+                assert np.abs(t.rank(k)).max() < 1e-14
+        for w in caught:
+            text = str(w.message)
+            assert "negative on the grid" in text
+            assert "state" not in text and "classical" not in text
 
     def test_unnormalized_rejected(self):
         lam = SphericalExpansion.from_table(0, {(0, 0): 0.5})
