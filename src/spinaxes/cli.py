@@ -35,7 +35,7 @@ from .halfint import HalfInt
 from .pfunc import (
     QuadratureGrid,
     SphericalExpansion,
-    default_grid,
+    _values_on_grid,
     t_from_distribution,
     ylm_squared_t,
 )
@@ -162,16 +162,19 @@ def cmd_rho2t(args) -> int:
 
 def cmd_t2rho(args) -> int:
     t = load_tensor(args.tensor)
-    with warnings.catch_warnings(record=True):
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rho = t_to_rho(t)
+    min_eigenvalue, physical = rho.min_eigenvalue(), rho.is_physical
     if args.json:
-        _emit_json(dump_state(rho))
+        doc = dump_state(rho)
+        doc.update(min_eigenvalue=min_eigenvalue, physical=physical, warnings=[str(w.message) for w in caught])
+        _emit_json(doc)
         return 0
     print(f"j = {rho.j} (doubled {rho.j.doubled})")
     _print_matrix(rho.matrix)
-    print(f"min eigenvalue: {_fmt(rho.min_eigenvalue())}")
-    print("state: physical" if rho.is_physical else "state: non-physical (negative eigenvalue)")
+    print(f"min eigenvalue: {_fmt(min_eigenvalue)}")
+    print("state: physical" if physical else "state: non-physical (negative eigenvalue)")
     return 0
 
 
@@ -243,30 +246,24 @@ def cmd_pfunc(args) -> int:
     flags: list[str] = []
     source = args.source
     y2 = _Y2_RE.match(source)
-    if source == "uniform":
-        label = "uniform"
-        lam = SphericalExpansion.uniform()
-        band = args.lmax if args.lmax is not None else lam.l_max
-        grid = QuadratureGrid.for_band_limit(band + j.doubled)
-        t = t_from_distribution(lam, j, grid)
-        min_value = float(lam.evaluate(grid.mesh()[0], grid.mesh()[1]).real.min())
-    elif y2:
+    if y2:
         l, m_order = int(y2.group(1)), int(y2.group(2))
         label = f"|Y^{l}_{m_order}|^2"
         t = ylm_squared_t(l, m_order, j)
         min_value = 0.0
     else:
-        lam = load_expansion(source)
-        label = f"expansion from {source}"
+        if source == "uniform":
+            label, lam = "uniform", SphericalExpansion.uniform()
+        else:
+            label, lam = f"expansion from {source}", load_expansion(source)
         band = args.lmax if args.lmax is not None else lam.l_max
         grid = QuadratureGrid.for_band_limit(band + j.doubled)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             t = t_from_distribution(lam, j, grid)
-        th, ph = grid.mesh()
-        min_value = float(lam.evaluate(th, ph).real.min())
-        for w in caught:
-            flags.append(str(w.message))
+        # the grid values t_from_distribution checked, evaluated ring by ring
+        min_value = float(_values_on_grid(lam, grid).min())
+        flags.extend(str(w.message) for w in caught)
     mar = extract_mar(t)
     collinear = collinearity_check(mar, args.tol)
     if args.emit_plot:

@@ -8,6 +8,9 @@ State files hold a density matrix in the ladder basis::
 
     {"schema_version": 1, "j_doubled": 2, "matrix": [[[re, im], ...], ...]}
 
+and may carry the report fields ``min_eigenvalue``, ``physical`` and
+``warnings`` that ``spinaxes t2rho --json`` adds; the loader ignores them.
+
 Ensemble files hold aligned product-state mixtures::
 
     {"schema_version": 1, "n_qubits": 2,
@@ -39,6 +42,8 @@ from .symmetric import BlochVector, SeparableEnsemble
 from .tensors import SpinDensityMatrix, TensorParams, _check_spin
 
 SCHEMA_VERSION = 1
+# What `spinaxes t2rho --json` reports beside the state; ignored on loading
+_STATE_REPORT_FIELDS = frozenset({"min_eigenvalue", "physical", "warnings"})
 
 _ANGLE_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?P<coef>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+(?:\.\d*)?))?\s*$",
@@ -84,9 +89,9 @@ def _load_json(path) -> dict:
     return obj
 
 
-def _check_fields(obj: dict, required: set, what: str) -> None:
+def _check_fields(obj: dict, required: set, what: str, optional: frozenset = frozenset()) -> None:
     missing = required - set(obj)
-    unknown = set(obj) - required
+    unknown = set(obj) - required - optional
     if missing:
         raise ValidationError(f"{what} is missing field(s): {', '.join(sorted(missing))}")
     if unknown:
@@ -124,7 +129,7 @@ def detect_kind(path) -> str:
 
 def load_state(path) -> SpinDensityMatrix:
     obj = _load_json(path)
-    _check_fields(obj, {"schema_version", "j_doubled", "matrix"}, "state file")
+    _check_fields(obj, {"schema_version", "j_doubled", "matrix"}, "state file", _STATE_REPORT_FIELDS)
     dj = _as_int(obj["j_doubled"], "j_doubled")
     _check_spin(HalfInt(dj))
     rows = obj["matrix"]

@@ -28,7 +28,14 @@ one ring at a time:
 
 with w the normalized node weights times lambda: the same sum over nodes,
 in another order, so a grid too coarse in phi aliases exactly as it would
-node by node.
+node by node.  An expansion lambda is itself evaluated on the grid ring by
+ring: the Legendre table on the n_theta ring nodes contracts with the
+coefficients to one value per ring and order m, and one product with
+e^{-i m phi} over the phi nodes gives every node.
+
+Default grids (``QuadratureGrid.for_band_limit``, ``default_grid``) are
+built once per band limit, in a bounded cache, and shared: a grid is
+frozen and its arrays are read-only.
 
 Weight functions are represented either as callables of (theta, phi) or as
 :class:`SphericalExpansion` coefficient tables over conj(Y^l_m).
@@ -39,6 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -135,8 +143,14 @@ class QuadratureGrid:
         return cls(np.arccos(x), np.arange(n_phi) * (2 * math.pi / n_phi), w)
 
     @classmethod
+    @lru_cache(maxsize=32)
     def for_band_limit(cls, band_limit: int) -> "QuadratureGrid":
-        """Smallest default grid exact through the given harmonic degree."""
+        """Smallest default grid exact through the given harmonic degree.
+
+        Built once per band limit and shared: the grid is frozen and its
+        arrays are read-only.  The cache is bounded, so a stream of large
+        band limits cannot pin their grids.
+        """
         if band_limit < 0:
             raise DomainError("band limit must be non-negative")
         return cls.build(band_limit + 2, 2 * band_limit + 3)
@@ -255,10 +269,10 @@ class SphericalExpansion:
 
 def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     """Evaluate a weight function on the grid and check it is real."""
-    th, ph = grid.mesh()
     if isinstance(lam, SphericalExpansion):
-        vals = lam.evaluate(th, ph)
+        vals = _expansion_on_rings(lam, grid)
     elif callable(lam):
+        th, ph = grid.mesh()
         vals = np.asarray(lam(th, ph), dtype=complex)
         if vals.shape != th.shape:
             vals = np.vectorize(lambda a, b: complex(lam(a, b)))(th, ph)
@@ -267,6 +281,32 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     if np.abs(vals.imag).max() > REALITY_TOL:
         raise ValidationError("weight function takes complex values on the grid")
     return vals.real
+
+
+def _expansion_on_rings(lam: SphericalExpansion, grid: QuadratureGrid) -> np.ndarray:
+    """lambda on the grid nodes, shape (n_theta, n_phi), one theta ring at a time.
+
+    The same sum as :meth:`SphericalExpansion.evaluate`, ordered for a
+    product grid: the Legendre table on the ring nodes contracts with the
+    coefficients to one value per ring and order, and one product with
+    e^{-i m phi} over the phi nodes finishes every ring.  The phases are
+    taken at the nodes, so a grid too coarse in phi aliases exactly as
+    evaluating node by node does.
+    """
+    big = lam.l_max
+    coeffs = np.zeros((big + 1, 2 * big + 1), dtype=complex)  # [l, m + l_max]
+    for l, b in enumerate(lam.blocks):
+        coeffs[l, big - l : big + l + 1] = b
+    # conj(Y^l_m) = Y^l_|m|(theta, 0) e^{-i m phi}, times (-1)^m for m < 0
+    coeffs[:, :big] *= (-1.0) ** np.arange(-big, 0)
+    per_order = np.empty((grid.n_theta, 2 * big + 1), dtype=complex)
+    # blocks of rings keep the Legendre table near _TABLE_ENTRIES values
+    step = max(1, _TABLE_ENTRIES // (big + 1) ** 2)
+    for lo in range(0, grid.n_theta, step):
+        table = _legendre_table(big, grid.theta[lo : lo + step])
+        per_order[lo : lo + step, big:] = np.einsum("lm,lmi->im", coeffs[:, big:], table)
+        per_order[lo : lo + step, :big] = np.einsum("lm,lmi->im", coeffs[:, big - 1 :: -1], table[:, 1:])[:, ::-1]
+    return per_order @ np.exp(-1j * np.outer(np.arange(-big, big + 1), grid.phi))
 
 
 def _checked_values(lam, grid: QuadratureGrid) -> tuple[np.ndarray, float]:

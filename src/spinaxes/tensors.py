@@ -23,13 +23,21 @@ with the rank blocks.
 
 ``rotate_t`` applies the same active rotation to the parameters that
 U(phi, theta, psi) applies to the state, so that
-rotate_t(rho_to_t(rho)) == rho_to_t(U rho U^dag).
+rotate_t(rho_to_t(rho)) == rho_to_t(U rho U^dag).  It factors each
+rank's d^k(theta) through the quarter turn Delta = d^k(pi/2) (Risbo
+1996; Trapani and Navaza 2006), whose tables are built once from one d
+ladder and shared by every later call, so no call runs a ladder.
+
+``TensorParams`` copies its blocks into one flat read-only array, rank k
+at k^2 .. (k+1)^2 - 1, and checks finiteness and the conjugation identity
+once over that array; its ``ranks`` are views of it.
 
 Matrices are indexed by descending m, from +j to -j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -52,6 +60,28 @@ def _conjugation_mirror(a: np.ndarray) -> np.ndarray:
     """(-1)^q conj(a_-q), q ascending; a block obeying the conjugation identity is its own."""
     k = (len(a) - 1) // 2
     return a[::-1].conj() * (-1.0) ** np.arange(-k, k + 1)
+
+
+def _first_rank(bad: np.ndarray) -> int | None:
+    """Rank of the first True entry of a mask over the flat rank layout, or None."""
+    return math.isqrt(int(bad.argmax())) if bad.any() else None
+
+
+def _check_finite(flat: np.ndarray) -> None:
+    k = _first_rank(~np.isfinite(flat))
+    if k is not None:
+        raise ValidationError(f"rank {k} block has a non-finite entry")
+
+
+@lru_cache(maxsize=None)
+def _flat_mirror(dj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of t^k_-q and the sign (-1)^q for every t^k_q of the flat rank layout, read-only."""
+    k = np.repeat(np.arange(dj + 1), 2 * np.arange(dj + 1) + 1)
+    q = np.arange((dj + 1) ** 2) - k * k - k
+    mirror, sign = k * k + k - q, (-1.0) ** q
+    mirror.setflags(write=False)
+    sign.setflags(write=False)
+    return mirror, sign
 
 
 def _check_spin(j: HalfInt) -> None:
@@ -125,21 +155,25 @@ class TensorParams:
         _check_spin(j)
         if len(self.ranks) != j.doubled + 1:
             raise ValidationError(f"expected ranks 0 .. {j.doubled}, got {len(self.ranks)} blocks")
-        rks = []
+        blocks = []
         for k, block in enumerate(self.ranks):
-            a = np.array(block, dtype=complex)
+            a = np.asarray(block, dtype=complex)
             if a.shape != (2 * k + 1,):
+                if blocks:  # a non-finite entry below rank k is the earlier failure
+                    _check_finite(np.concatenate(blocks))
                 raise ValidationError(f"rank {k} block has shape {a.shape}, expected ({2 * k + 1},)")
-            if not np.isfinite(a).all():
-                raise ValidationError(f"rank {k} block has a non-finite entry")
-            a.setflags(write=False)
-            rks.append(a)
-        object.__setattr__(self, "ranks", tuple(rks))
-        if abs(self.ranks[0][0] - 1.0) > TENSOR_TOL:
-            raise ValidationError(f"t^0_0 = {self.ranks[0][0]:.6g}, expected 1 (normalization)")
-        for k, a in enumerate(self.ranks):
-            if np.abs(a - _conjugation_mirror(a)).max() > TENSOR_TOL:
-                raise ValidationError(f"rank {k} violates conj(t^k_q) = (-1)^q t^k_-q")
+            blocks.append(a)
+        # one fresh copy holds every rank, k^2 .. (k+1)^2 - 1 for rank k
+        flat = np.concatenate(blocks)
+        _check_finite(flat)
+        if abs(flat[0] - 1.0) > TENSOR_TOL:
+            raise ValidationError(f"t^0_0 = {flat[0]:.6g}, expected 1 (normalization)")
+        mirror, sign = _flat_mirror(j.doubled)
+        k = _first_rank(np.abs(flat - sign * flat[mirror].conj()) > TENSOR_TOL)
+        if k is not None:
+            raise ValidationError(f"rank {k} violates conj(t^k_q) = (-1)^q t^k_-q")
+        flat.setflags(write=False)
+        object.__setattr__(self, "ranks", tuple(flat[k * k : (k + 1) ** 2] for k in range(j.doubled + 1)))
 
     @classmethod
     def from_table(cls, j, table: Mapping) -> "TensorParams":
@@ -289,19 +323,56 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
     return rho
 
 
+# d^k(pi/2) for k = 0 .. len - 1; only the longest table built so far is kept
+_QUARTER_TURNS: tuple = ()
+
+
+def _quarter_turns(k_max: int) -> tuple:
+    """Read-only d^k(pi/2) for k = 0 .. at least k_max, rows and columns q = +k .. -k.
+
+    The even steps of one d ladder at pi/2 are the integer spins; a table
+    built for a larger k_max serves every smaller one.
+    """
+    global _QUARTER_TURNS
+    tables = _QUARTER_TURNS
+    if len(tables) <= k_max:
+        tables = tuple(islice(_d_ladder(2 * k_max, math.pi / 2), None, None, 2))
+        for d in tables:
+            d.setflags(write=False)
+        _QUARTER_TURNS = tables
+    return tables
+
+
+def _real_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a real matrix and a contiguous complex vector, without a complex copy of m."""
+    return (m @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
 def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorParams:
     """Tensor parameters of the actively rotated state U rho U^dag.
 
     Each rank transforms as t'^k_q = sum_q' conj(D^k_{q q'}) t^k_{q'} with
-    the same Euler angles that rotate the state.  One d ladder serves every
-    rank: its even steps are the integer spins k.
+    the same Euler angles that rotate the state, and conj(D^k) =
+    e^{i phi q} d^k(theta) e^{i psi q'} with d^k real.  The rotation about y
+    is factored through quarter turns (Risbo 1996, J. Geodesy 70, 383;
+    Trapani and Navaza 2006, Acta Cryst. A62, 262):
+
+        d^k(theta) = diag(i^-q) Delta^T diag(e^{i q theta}) Delta diag(i^q),
+
+    with Delta = d^k(pi/2) cached once for all calls, so a rank costs two
+    products with Delta and three phase vectors, whatever the angles.
     """
+    kmax = t.max_rank
+    q = np.arange(kmax, -kmax - 1, -1)  # descending, as the rows of Delta
+    quarter = np.array([1, 1j, -1, -1j])[q % 4]  # i^q, exact
+    into = np.exp(1j * psi * q) * quarter
+    turn = np.exp(1j * theta * q)
+    out = np.exp(1j * phi * q) * quarter.conj()
     blocks = []
-    for k, d in enumerate(islice(_d_ladder(2 * t.max_rank, theta), None, None, 2)):
-        qs = np.arange(k, -k - 1, -1, dtype=float)  # rows/cols of d: q = +k .. -k
-        vec = t.ranks[k][::-1]  # descending q to match the matrix ordering
-        # conj(D) = e^{i phi q} d e^{i psi q'}, d being real
-        blocks.append((np.exp(1j * phi * qs) * (d @ (np.exp(1j * psi * qs) * vec)))[::-1])
+    for k, (delta, block) in enumerate(zip(_quarter_turns(kmax), t.ranks)):
+        s = slice(kmax - k, kmax + k + 1)
+        x = _real_product(delta, into[s] * block[::-1])
+        blocks.append((out[s] * _real_product(delta.T, turn[s] * x))[::-1])
     return TensorParams(t.j, tuple(blocks))
 
 

@@ -110,6 +110,33 @@ class TestRho2tAndBack:
             for b in range(3):
                 assert doc["matrix"][a][b][0] == pytest.approx(original["matrix"][a][b][0], abs=1e-12)
 
+    def test_json_reports_physicality(self, tmp_path):
+        state = paper_state_file(tmp_path)
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(run_cli("rho2t", str(state), "--json").stdout)
+        doc = json.loads(run_cli("t2rho", str(tensor), "--json").stdout)
+        # the paper state's eigenvalues are 1/2, 1/4, 1/4
+        assert doc["min_eigenvalue"] == pytest.approx(0.25, abs=1e-12)
+        assert doc["physical"] is True
+        assert doc["warnings"] == []
+        # the report fields do not stop the document from loading as a state
+        back = tmp_path / "back.json"
+        back.write_text(json.dumps(doc))
+        again = json.loads(run_cli("rho2t", str(back), "--json").stdout)["entries"]
+        for e, f in zip(again, json.loads(tensor.read_text())["entries"], strict=True):
+            assert (e["k"], e["q"]) == (f["k"], f["q"])
+            assert complex(e["re"], e["im"]) == pytest.approx(complex(f["re"], f["im"]), abs=1e-14)
+
+    def test_json_reports_non_physical_table(self, tmp_path):
+        tensor = tmp_path / "tensor.json"
+        entries = [{"k": 0, "q": 0, "re": 1.0, "im": 0.0}, {"k": 1, "q": 0, "re": 1.5, "im": 0.0}]
+        tensor.write_text(json.dumps({"schema_version": 1, "j_doubled": 1, "entries": entries}))
+        doc = json.loads(run_cli("t2rho", str(tensor), "--json").stdout)
+        assert doc["min_eigenvalue"] == pytest.approx(-0.25, abs=1e-12)
+        assert doc["physical"] is False
+        assert len(doc["warnings"]) == 1
+        assert "minimum eigenvalue -0.25" in doc["warnings"][0]
+
     def test_text_mode_reports_physicality(self, tmp_path):
         state = paper_state_file(tmp_path)
         tensor = tmp_path / "tensor.json"

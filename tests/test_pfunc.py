@@ -26,7 +26,7 @@ from spinaxes import (
     wigner_D_matrix,
     ylm_squared_t,
 )
-from spinaxes.pfunc import _legendre_table
+from spinaxes.pfunc import _legendre_table, _values_on_grid
 from spinaxes.symmetric import BlochVector
 
 from oracles import jx_matrix, jy_matrix, jz_matrix, rho_by_nodes
@@ -155,6 +155,14 @@ class TestQuadratureGrid:
         with pytest.raises(DomainError):
             QuadratureGrid.for_band_limit(-1)
 
+    def test_band_limit_grid_is_built_once(self):
+        g = QuadratureGrid.for_band_limit(11)
+        assert QuadratureGrid.for_band_limit(11) is g
+        assert default_grid(8, h(3)) is g
+        for a in (g.theta, g.phi, g.theta_weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
 
 class TestSphericalExpansion:
     def test_uniform_is_normalized(self):
@@ -210,6 +218,44 @@ class TestSphericalExpansion:
         for i in (0, 2500, 4999):
             want = sum(v * np.conj(spherical_harmonic(l, m, theta[i], phi[i])) for (l, m), v in table.items())
             assert got[i] == pytest.approx(want, abs=1e-13)
+
+    @staticmethod
+    def _random_real(rng, l_max):
+        table = {(0, 0): 1.0 / math.sqrt(4.0 * math.pi)}
+        for l in range(1, l_max + 1):
+            for m in range(0, l + 1):
+                z = complex(rng.normal(), rng.normal() if m else 0.0) / (l + 1)
+                table[(l, m)] = z
+                table[(l, -m)] = (-1.0) ** m * z.conjugate()
+        return SphericalExpansion.from_table(l_max, table)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 4, 60])
+    def test_grid_values_match_evaluate(self, l_max):
+        lam = self._random_real(np.random.default_rng(61 + l_max), l_max)
+        for grid in (QuadratureGrid.for_band_limit(l_max + 3), QuadratureGrid.build(l_max + 2, 2 * l_max + 4)):
+            want = lam.evaluate(*grid.mesh()).real
+            got = _values_on_grid(lam, grid)
+            assert got.shape == (grid.n_theta, grid.n_phi)
+            # relative to the largest value, which grows like l_max at degree 60
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("l_max", [1, 4, 60])
+    def test_grid_values_alias_like_evaluate(self, l_max):
+        # fewer phi nodes than orders: e^{-i m phi} at the nodes folds m onto
+        # m - n_phi, and the ring values must fold the same way
+        lam = self._random_real(np.random.default_rng(67 + l_max), l_max)
+        grid = QuadratureGrid.build(l_max + 2, l_max // 2 + 1)
+        want = lam.evaluate(*grid.mesh()).real
+        got = _values_on_grid(lam, grid)
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+    def test_grid_values_in_blocks_of_rings(self):
+        # at degree 60 the Legendre table of 600 rings exceeds one block
+        lam = self._random_real(np.random.default_rng(71), 60)
+        grid = QuadratureGrid.build(600, 7)
+        want = lam.evaluate(*grid.mesh()).real
+        got = _values_on_grid(lam, grid)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_zero_normalization_rejected(self):
         with pytest.raises(DomainError, match="zero mean"):

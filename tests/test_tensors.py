@@ -19,7 +19,7 @@ from spinaxes import (
     t_to_rho,
     tau_operator,
 )
-from spinaxes.tensors import _conjugation_mirror, _order_stack
+from spinaxes.tensors import _conjugation_mirror, _order_stack, _quarter_turns
 
 from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
 
@@ -226,6 +226,56 @@ class TestTensorParams:
         block[0] = 7.0
         assert t.item(1, -1) == 0.0
 
+    @staticmethod
+    def _valid_blocks(dj):
+        rng = np.random.default_rng(dj)
+        return list(rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1))).ranks)
+
+    @pytest.mark.parametrize("k", [0, 6, 12])
+    def test_non_finite_entry_names_its_rank(self, k):
+        blocks = self._valid_blocks(12)
+        blocks[k] = blocks[k].copy()
+        blocks[k][k] = np.nan
+        with pytest.raises(ValidationError, match=f"^rank {k} block has a non-finite entry$"):
+            TensorParams(h(12), tuple(blocks))
+
+    def test_non_finite_entry_reported_before_a_later_bad_shape(self):
+        blocks = self._valid_blocks(12)
+        blocks[3] = blocks[3].copy()
+        blocks[3][0] = np.inf
+        blocks[9] = blocks[9][:-1]
+        with pytest.raises(ValidationError, match="^rank 3 block has a non-finite entry$"):
+            TensorParams(h(12), tuple(blocks))
+        blocks[3] = blocks[3].copy()
+        blocks[3][0] = 0.0
+        with pytest.raises(ValidationError, match="^rank 9 block has shape"):
+            TensorParams(h(12), tuple(blocks))
+
+    @pytest.mark.parametrize("k", [0, 6, 12])
+    def test_conjugation_violation_names_its_rank(self, k):
+        blocks = self._valid_blocks(12)
+        blocks[k] = blocks[k].copy()
+        # an imaginary part of t^k_k beyond its mirror's; at k = 0 it stays
+        # inside the normalization tolerance and fails only the identity
+        blocks[k][-1] += 0.9e-12j if k == 0 else 1e-9
+        with pytest.raises(ValidationError, match=f"^rank {k} violates conj"):
+            TensorParams(h(12), tuple(blocks))
+
+    def test_later_changes_to_inputs_do_not_leak(self):
+        blocks = [b.copy() for b in self._valid_blocks(6)]
+        t = TensorParams(h(6), tuple(blocks))
+        before = t.table()
+        for b in blocks:
+            b[:] = 7.0
+        assert t.table() == before
+
+    def test_every_rank_is_read_only(self):
+        t = TensorParams(h(6), tuple(self._valid_blocks(6)))
+        for k, block in enumerate(t.ranks):
+            assert block.shape == (2 * k + 1,)
+            with pytest.raises(ValueError):
+                block[0] = 1.0
+
 
 class TestRoundTrip:
     def test_rho_to_t_to_rho_random(self):
@@ -335,3 +385,40 @@ class TestRotation:
         one = rotate_t(rotate_t(t, 0.4, 0.0, 0.0), 0.9, 0.0, 0.0)
         both = rotate_t(t, 1.3, 0.0, 0.0)
         assert one.max_abs_diff(both) < 1e-14
+
+    @pytest.mark.parametrize("dj", [1, 7, 24, 60])
+    def test_two_general_rotations_in_turn(self, dj):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(53 + dj)
+        rho = SpinDensityMatrix(h(dj), random_density(rng, dj + 1))
+        jz, jy = jz_matrix(dj), jy_matrix(dj)
+        first, second = rng.uniform(0.0, 2.0 * math.pi, size=(2, 3))
+
+        def unitary(phi, theta, psi):
+            return expm(-1j * phi * jz) @ expm(-1j * theta * jy) @ expm(-1j * psi * jz)
+
+        u = unitary(*second) @ unitary(*first)
+        rotated = SpinDensityMatrix(h(dj), u @ rho.matrix @ u.conj().T)
+        in_turn = rotate_t(rotate_t(rho_to_t(rho), *first), *second)
+        assert rho_to_t(rotated).max_abs_diff(in_turn) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
+    def test_special_polar_angles_match_wigner_D(self, theta):
+        from spinaxes import wigner_D_matrix
+
+        rng = np.random.default_rng(59)
+        for dj in (1, 2, 5, 12, 40):
+            rho = SpinDensityMatrix(h(dj), random_density(rng, dj + 1))
+            u = wigner_D_matrix(h(dj), 0.8, theta, -2.2)
+            rotated = SpinDensityMatrix(h(dj), u @ rho.matrix @ u.conj().T)
+            assert rho_to_t(rotated).max_abs_diff(rotate_t(rho_to_t(rho), 0.8, theta, -2.2)) < 1e-13
+
+    def test_quarter_turn_tables_are_read_only(self):
+        rotate_t(rho_to_t(maximally_mixed(h(8))), 0.1, 0.2, 0.3)
+        tables = _quarter_turns(8)
+        assert len(tables) >= 9
+        for k, d in enumerate(tables[:9]):
+            assert d.shape == (2 * k + 1, 2 * k + 1)
+            with pytest.raises(ValueError):
+                d[0, 0] = 2.0
