@@ -9,6 +9,7 @@ that reload exactly through the file loaders.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import warnings
 import numpy as np
 
 from .angular import MAX_DEGREE, cg
-from .axes import Axis, collinearity_check, extract_mar, mar_polynomial, polynomial_roots
+from .axes import collinearity_check, extract_mar, mar_polynomial, polynomial_roots
 from .errors import ConsistencyError, SpinAxesError, ValidationError
 from .fileio import (
     detect_kind,
@@ -33,9 +34,10 @@ from .fileio import (
 )
 from .halfint import HalfInt
 from .pfunc import (
-    QuadratureGrid,
+    NEGATIVITY_FLOOR,
     SphericalExpansion,
     _values_on_grid,
+    default_grid,
     t_from_distribution,
     ylm_squared_t,
 )
@@ -79,19 +81,10 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _grouped_axes(axes) -> list[tuple[Axis, int]]:
-    groups: list[tuple[Axis, int]] = []
-    for axis in axes:
-        if groups and groups[-1][0] == axis:
-            groups[-1] = (axis, groups[-1][1] + 1)
-        else:
-            groups.append((axis, 1))
-    return groups
-
-
 def _axes_text(axes) -> str:
     parts = []
-    for axis, count in _grouped_axes(axes):
+    for axis, run in itertools.groupby(axes):
+        count = len(list(run))
         item = f"({_fmt(axis.theta)}, {_fmt(axis.phi)})"
         parts.append(f"{item} x{count}" if count > 1 else item)
     return ", ".join(parts)
@@ -257,7 +250,7 @@ def cmd_pfunc(args) -> int:
         else:
             label, lam = f"expansion from {source}", load_expansion(source)
         band = args.lmax if args.lmax is not None else lam.l_max
-        grid = QuadratureGrid.for_band_limit(band + j.doubled)
+        grid = default_grid(band, j)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             t = t_from_distribution(lam, j, grid)
@@ -275,14 +268,15 @@ def cmd_pfunc(args) -> int:
                 "tensor": dump_tensor(t),
                 "mar": _mar_report_json(mar, collinear),
                 "min_weight_value": min_value,
-                "non_classical": min_value < -1e-12,
+                "non_classical": min_value < NEGATIVITY_FLOOR,
+                "warnings": flags,
             }
         )
         return 0
     print(f"source: {label}, j = {j}")
     _tensor_text(t)
     _mar_report_text(mar, collinear, args.tol)
-    if min_value < -1e-12:
+    if min_value < NEGATIVITY_FLOOR:
         print(f"negativity: min weight value {_fmt(min_value)} (non-classical input)")
     else:
         print("negativity: none")

@@ -118,6 +118,22 @@ def _as_int(v, what: str) -> int:
     return int(v)
 
 
+def _entry_table(obj: dict, field: str, noun: str, a: str, b: str) -> dict:
+    """{(a, b): re + i im} from obj[field], a list of objects with exactly the fields a, b, re, im."""
+    entries = obj[field]
+    if not isinstance(entries, list):
+        raise ValidationError(f"{field} must be a list")
+    table = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != {a, b, "re", "im"}:
+            raise ValidationError(f"{noun} {i} must have exactly the fields {a}, {b}, re, im")
+        key = (_as_int(entry[a], a), _as_int(entry[b], b))
+        if key in table:
+            raise ValidationError(f"duplicate {noun} for {a} = {key[0]}, {b} = {key[1]}")
+        table[key] = complex(_as_number(entry["re"], "re"), _as_number(entry["im"], "im"))
+    return table
+
+
 def detect_kind(path) -> str:
     """'state', 'ensemble', 'tensor', or 'expansion', from the fields present."""
     obj = _load_json(path)
@@ -182,18 +198,7 @@ def load_tensor(path) -> TensorParams:
     obj = _load_json(path)
     _check_fields(obj, {"schema_version", "j_doubled", "entries"}, "tensor file")
     dj = _as_int(obj["j_doubled"], "j_doubled")
-    if not isinstance(obj["entries"], list):
-        raise ValidationError("entries must be a list")
-    table = {}
-    for i, entry in enumerate(obj["entries"]):
-        if not isinstance(entry, dict) or set(entry) != {"k", "q", "re", "im"}:
-            raise ValidationError(f"entry {i} must have exactly the fields k, q, re, im")
-        k = _as_int(entry["k"], "k")
-        q = _as_int(entry["q"], "q")
-        if (k, q) in table:
-            raise ValidationError(f"duplicate entry for k = {k}, q = {q}")
-        table[(k, q)] = complex(_as_number(entry["re"], "re"), _as_number(entry["im"], "im"))
-    return TensorParams.from_table(HalfInt(dj), table)
+    return TensorParams.from_table(HalfInt(dj), _entry_table(obj, "entries", "entry", "k", "q"))
 
 
 def dump_tensor(t: TensorParams) -> dict:
@@ -209,15 +214,4 @@ def load_expansion(path) -> SphericalExpansion:
     obj = _load_json(path)
     _check_fields(obj, {"schema_version", "l_max", "coeffs"}, "expansion file")
     l_max = _as_int(obj["l_max"], "l_max")
-    if not isinstance(obj["coeffs"], list):
-        raise ValidationError("coeffs must be a list")
-    table = {}
-    for i, entry in enumerate(obj["coeffs"]):
-        if not isinstance(entry, dict) or set(entry) != {"l", "m", "re", "im"}:
-            raise ValidationError(f"coefficient {i} must have exactly the fields l, m, re, im")
-        l = _as_int(entry["l"], "l")
-        m = _as_int(entry["m"], "m")
-        if (l, m) in table:
-            raise ValidationError(f"duplicate coefficient for l = {l}, m = {m}")
-        table[(l, m)] = complex(_as_number(entry["re"], "re"), _as_number(entry["im"], "im"))
-    return SphericalExpansion.from_table(l_max, table)
+    return SphericalExpansion.from_table(l_max, _entry_table(obj, "coeffs", "coefficient", "l", "m"))

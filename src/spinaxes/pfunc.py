@@ -12,12 +12,11 @@ parameters directly:
     rho = integral lambda(Omega) |alpha><alpha| dOmega,
     t^k_q = c_k(j) integral lambda(Omega) Y^k_q(Omega) dOmega,
 
-with the rank-dependent scale c_k(j) = sqrt(4 pi) <j j, k 0|j j>, read in
-floating point from the order-0 tensor-operator diagonal as
-sqrt(4 pi/(2k+1)) <j j| tau^k_0 |j j>, with no exact-rational
-Clebsch-Gordan arithmetic.  The two
-routes agree exactly for band-limited lambda on a large enough grid, which
-the tests exploit as mutual oracles.
+with the rank-dependent scale c_k(j) = sqrt(4 pi) <j j, k 0|j j>, read from
+its closed form sqrt(4 pi) N! sqrt(N+1) / sqrt((N-k)! (N+k+1)!), N = 2j, as
+an exact factorial ratio under one float square root.  The two routes
+agree exactly for band-limited lambda on a large enough grid, which the
+tests exploit as mutual oracles.
 
 The grid is a product of theta rings and uniform phi, and an amplitude
 factors as b_a(theta) e^{-i m_a phi} with b real, so the state is summed
@@ -28,10 +27,10 @@ one ring at a time:
 
 with w the normalized node weights times lambda: the same sum over nodes,
 in another order, so a grid too coarse in phi aliases exactly as it would
-node by node.  An expansion lambda is itself evaluated on the grid ring by
-ring: the Legendre table on the n_theta ring nodes contracts with the
-coefficients to one value per ring and order m, and one product with
-e^{-i m phi} over the phi nodes gives every node.
+node by node.  An expansion lambda is evaluated the same way, on a grid or
+at arbitrary points: the Legendre table on the distinct theta nodes
+contracts with the coefficients to one value per node and order m, and
+the phases e^{-i m phi} finish every point.
 
 Default grids (``QuadratureGrid.for_band_limit``, ``default_grid``) are
 built once per band limit, in a bounded cache, and shared: a grid is
@@ -46,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -53,13 +53,13 @@ import numpy as np
 
 from .angular import MAX_DEGREE
 from .errors import DomainError, NonClassicalWarning, ValidationError
-from .halfint import halfint
-from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_mirror, _order_block, _order_stack
+from .halfint import HalfInt, halfint
+from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_mirror, _order_block
 
 NORMALIZATION_TOL = 1e-8
 REALITY_TOL = 1e-10
 NEGATIVITY_FLOOR = -1e-12
-# Legendre-table size (2^21 values, 16 MB) at which evaluate splits its points
+# Legendre-table size (2^21 values, 16 MB) at which the theta nodes are taken in blocks
 _TABLE_ENTRIES = 1 << 21
 
 
@@ -80,12 +80,25 @@ def _coherent_amplitudes(dj: int, theta: np.ndarray, phi: np.ndarray) -> np.ndar
 
 
 def multipole_scale(j, k: int) -> float:
-    """The constant c_k(j) = sqrt(4 pi) <j j, k 0 | j j> = sqrt(4 pi/(2k+1)) <j j| tau^k_0 |j j>."""
+    """The constant c_k(j) = sqrt(4 pi) <j j, k 0 | j j>, from its closed form."""
     j = halfint(j)
     _check_spin(j)
     if not 0 <= k <= j.doubled:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
-    return math.sqrt(4 * math.pi / (2 * k + 1)) * float(_order_stack(j.doubled)[0, k, 0])
+    return float(_multipole_scales(j.doubled)[k])
+
+
+@lru_cache(maxsize=None)
+def _multipole_scales(dj: int) -> np.ndarray:
+    """Read-only c_k for k = 0 .. 2j: sqrt(4 pi) N! sqrt(N+1) / sqrt((N-k)! (N+k+1)!), N = 2j.
+
+    The factorial ratio is exact, so c_k is relatively accurate even at 1e-17 (2j = k = 60).
+    """
+    f = math.factorial
+    ratios = [Fraction(f(dj) ** 2 * (dj + 1), f(dj - k) * f(dj + k + 1)) for k in range(dj + 1)]
+    scales = np.array([math.sqrt(4 * math.pi * r) for r in ratios])
+    scales.setflags(write=False)
+    return scales
 
 
 def _check_l_max(l_max) -> None:
@@ -247,30 +260,41 @@ class SphericalExpansion:
     def evaluate(self, theta, phi) -> np.ndarray:
         """lambda(theta, phi) for scalar or array angles."""
         theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-        # conj(Y^l_m) = Y^l_|m|(theta, 0) e^{-i m phi}, times (-1)^m for m < 0
-        orders = [
-            (m, (-1) ** min(m, 0) * np.array([b[l + m] for l, b in enumerate(self.blocks) if l >= abs(m)]))
-            for m in range(-self.l_max, self.l_max + 1)
-        ]
-        flat_theta, flat_phi = theta.ravel(), phi.ravel()
-        total = np.zeros(theta.size, dtype=complex)
-        # blocks of points keep the Legendre table near _TABLE_ENTRIES values
-        step = max(1, _TABLE_ENTRIES // (self.l_max + 1) ** 2)
-        for lo in range(0, theta.size, step):
-            ph = flat_phi[lo : lo + step]
-            # a grid repeats each theta along phi; the table needs each only once
-            nodes, where = np.unique(flat_theta[lo : lo + step], return_inverse=True)
-            table = _legendre_table(self.l_max, nodes)
-            for m, a in orders:
-                total[lo : lo + step] += (a @ table[abs(m) :, abs(m)])[where] * np.exp(-1j * m * ph)
-        total = total.reshape(theta.shape)
+        # points on a grid share their theta; the table needs each only once
+        nodes, where = np.unique(theta.ravel(), return_inverse=True)
+        rings, where = _ring_orders(self, nodes), where.reshape(theta.shape)
+        total = np.zeros(theta.shape, dtype=complex)
+        for i, m in enumerate(range(-self.l_max, self.l_max + 1)):
+            total += rings[where, i] * np.exp(-1j * m * phi)
         return total[()] if total.ndim == 0 else total
+
+
+def _ring_orders(lam: SphericalExpansion, theta: np.ndarray) -> np.ndarray:
+    """Per-node, per-order values R of shape (len(theta), 2 l_max + 1) such that
+    lambda(theta_i, phi) = sum_m R[i, m + l_max] e^{-i m phi}, at any phi.
+    """
+    big = lam.l_max
+    coeffs = np.zeros((big + 1, 2 * big + 1), dtype=complex)  # [l, m + l_max]
+    for l, b in enumerate(lam.blocks):
+        coeffs[l, big - l : big + l + 1] = b
+    # conj(Y^l_m) = Y^l_|m|(theta, 0) e^{-i m phi}, times (-1)^m for m < 0
+    coeffs[:, :big] *= (-1.0) ** np.arange(-big, 0)
+    rings = np.empty((len(theta), 2 * big + 1), dtype=complex)
+    # blocks of nodes keep the Legendre table near _TABLE_ENTRIES values
+    step = max(1, _TABLE_ENTRIES // (big + 1) ** 2)
+    for lo in range(0, len(theta), step):
+        table = _legendre_table(big, theta[lo : lo + step])
+        rings[lo : lo + step, big:] = np.einsum("lm,lmi->im", coeffs[:, big:], table)
+        rings[lo : lo + step, :big] = np.einsum("lm,lmi->im", coeffs[:, big - 1 :: -1], table[:, 1:])[:, ::-1]
+    return rings
 
 
 def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     """Evaluate a weight function on the grid and check it is real."""
     if isinstance(lam, SphericalExpansion):
-        vals = _expansion_on_rings(lam, grid)
+        # phases at the phi nodes: a grid too coarse in phi aliases as node by node
+        orders = np.arange(-lam.l_max, lam.l_max + 1)
+        vals = _ring_orders(lam, grid.theta) @ np.exp(-1j * np.outer(orders, grid.phi))
     elif callable(lam):
         th, ph = grid.mesh()
         vals = np.asarray(lam(th, ph), dtype=complex)
@@ -281,48 +305,6 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     if np.abs(vals.imag).max() > REALITY_TOL:
         raise ValidationError("weight function takes complex values on the grid")
     return vals.real
-
-
-def _expansion_on_rings(lam: SphericalExpansion, grid: QuadratureGrid) -> np.ndarray:
-    """lambda on the grid nodes, shape (n_theta, n_phi), one theta ring at a time.
-
-    The same sum as :meth:`SphericalExpansion.evaluate`, ordered for a
-    product grid: the Legendre table on the ring nodes contracts with the
-    coefficients to one value per ring and order, and one product with
-    e^{-i m phi} over the phi nodes finishes every ring.  The phases are
-    taken at the nodes, so a grid too coarse in phi aliases exactly as
-    evaluating node by node does.
-    """
-    big = lam.l_max
-    coeffs = np.zeros((big + 1, 2 * big + 1), dtype=complex)  # [l, m + l_max]
-    for l, b in enumerate(lam.blocks):
-        coeffs[l, big - l : big + l + 1] = b
-    # conj(Y^l_m) = Y^l_|m|(theta, 0) e^{-i m phi}, times (-1)^m for m < 0
-    coeffs[:, :big] *= (-1.0) ** np.arange(-big, 0)
-    per_order = np.empty((grid.n_theta, 2 * big + 1), dtype=complex)
-    # blocks of rings keep the Legendre table near _TABLE_ENTRIES values
-    step = max(1, _TABLE_ENTRIES // (big + 1) ** 2)
-    for lo in range(0, grid.n_theta, step):
-        table = _legendre_table(big, grid.theta[lo : lo + step])
-        per_order[lo : lo + step, big:] = np.einsum("lm,lmi->im", coeffs[:, big:], table)
-        per_order[lo : lo + step, :big] = np.einsum("lm,lmi->im", coeffs[:, big - 1 :: -1], table[:, 1:])[:, ::-1]
-    return per_order @ np.exp(-1j * np.outer(np.arange(-big, big + 1), grid.phi))
-
-
-def _checked_values(lam, grid: QuadratureGrid) -> tuple[np.ndarray, float]:
-    """Grid values and their integral; warns on negativity, errors off-norm."""
-    vals = _values_on_grid(lam, grid)
-    total = float(np.sum(grid.weights() * vals))
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError(f"weight function integrates to {total:.9g}, expected 1 within 1e-8")
-    if vals.min() < NEGATIVITY_FLOOR:
-        warnings.warn(
-            f"weight function is negative on the grid (min {vals.min():.6g}), "
-            "so it is a quasi-probability, not a probability density",
-            NonClassicalWarning,
-            stacklevel=3,
-        )
-    return vals, total
 
 
 def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> list[np.ndarray]:
@@ -350,6 +332,29 @@ def default_grid(l_max: int, j) -> QuadratureGrid:
     return QuadratureGrid.for_band_limit(l_max + j.doubled)
 
 
+def _distribution_weights(lam, j, grid: QuadratureGrid | None) -> tuple[HalfInt, QuadratureGrid, np.ndarray]:
+    """(j, grid, node weights times lambda / its integral): both routes' checked preamble."""
+    j = halfint(j)
+    _check_spin(j)
+    if grid is None:
+        if not isinstance(lam, SphericalExpansion):
+            raise DomainError("a quadrature grid is required for callable weight functions")
+        grid = default_grid(lam.l_max, j)
+    vals = _values_on_grid(lam, grid)
+    w = grid.weights() * vals
+    total = float(np.sum(w))
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValidationError(f"weight function integrates to {total:.9g}, expected 1 within 1e-8")
+    if vals.min() < NEGATIVITY_FLOOR:
+        warnings.warn(
+            f"weight function is negative on the grid (min {vals.min():.6g}), "
+            "so it is a quasi-probability, not a probability density",
+            NonClassicalWarning,
+            stacklevel=3,
+        )
+    return j, grid, w / total
+
+
 def t_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> TensorParams:
     """Tensor parameters t^k_q = c_k integral lambda Y^k_q dOmega.
 
@@ -357,15 +362,9 @@ def t_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> TensorPar
     When no grid is given, one sized for the expansion's band limit is
     used; callables have no known band limit and require an explicit grid.
     """
-    j = halfint(j)
-    _check_spin(j)
-    if grid is None:
-        if not isinstance(lam, SphericalExpansion):
-            raise DomainError("a quadrature grid is required for callable weight functions")
-        grid = default_grid(lam.l_max, j)
-    vals, total = _checked_values(lam, grid)
-    a = _analysis(grid.weights() * vals / total, grid, j.doubled)
-    blocks = [multipole_scale(j, k) * a[k] for k in range(j.doubled + 1)]
+    j, grid, w = _distribution_weights(lam, j, grid)
+    scales = _multipole_scales(j.doubled)
+    blocks = [c * a for c, a in zip(scales, _analysis(w, grid, j.doubled))]
     blocks[0][0] = 1.0
     return TensorParams(j, tuple(blocks))
 
@@ -378,18 +377,12 @@ def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDen
     amplitudes b_a(theta_i) are built once per ring, and one contraction over
     the rings gives rho.
     """
-    j = halfint(j)
-    _check_spin(j)
-    if grid is None:
-        if not isinstance(lam, SphericalExpansion):
-            raise DomainError("a quadrature grid is required for callable weight functions")
-        grid = default_grid(lam.l_max, j)
-    vals, total = _checked_values(lam, grid)
+    j, grid, w = _distribution_weights(lam, j, grid)
     dj = j.doubled
     # amplitude a at (theta, phi) is b[theta, a] e^{-i m_a phi} with m_a = j - a
     b = _coherent_amplitudes(dj, grid.theta, np.zeros_like(grid.theta)).real  # (n_theta, dim)
     # ring sums f[i, c - a + 2j] = sum_phi w(theta_i, phi) e^{-i (c - a) phi}
-    f = (grid.weights() * vals / total) @ np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1)))
+    f = w @ np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1)))
     idx = np.arange(dj + 1)
     rho = np.einsum("ia,ic,iac->ac", b, b, f[:, idx - idx[:, None] + dj])
     rho = 0.5 * (rho + rho.conj().T)
@@ -417,9 +410,8 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
     form t^k_0 = c_k sqrt((2k+1)/4pi) <l 0, k 0|l 0><l m, k 0|l m> and
     t^k_q = 0 for q != 0; odd ranks vanish by parity.  Both factors of
     the Gaunt product are order-0 tensor-operator diagonals on spin l,
-    <l m, k 0|l m> = <l m| tau^k_0 |l m> / sqrt(2k+1), zero for k > 2l,
-    and c_k is one on spin j, so t^k_0 is a product of three of them over
-    2k+1.
+    <l m, k 0|l m> = <l m| tau^k_0 |l m> / sqrt(2k+1), zero for k > 2l;
+    c_k is the closed-form table of :func:`multipole_scale`.
     """
     j = halfint(j)
     _check_spin(j)
@@ -429,9 +421,9 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
         raise DomainError(f"invalid harmonic indices l = {l}, m = {m}")
     if l > MAX_DEGREE:
         raise DomainError(f"degree l = {l} exceeds the supported range (l <= {MAX_DEGREE})")
-    gaunt, scale = _order_block(2 * l, 0), _order_stack(j.doubled)[0]
+    gaunt, scales = _order_block(2 * l, 0), _multipole_scales(j.doubled)
     blocks = [np.zeros(2 * k + 1, dtype=complex) for k in range(j.doubled + 1)]
     for k in range(0, min(j.doubled, 2 * l) + 1, 2):
-        blocks[k][k] = scale[k, 0] * gaunt[k, l] * gaunt[k, l - m] / (2 * k + 1)
+        blocks[k][k] = scales[k] * gaunt[k, l] * gaunt[k, l - m] / math.sqrt(4 * math.pi * (2 * k + 1))
     blocks[0][0] = 1.0
     return TensorParams(j, tuple(blocks))

@@ -404,6 +404,18 @@ class TestPfunc:
         out = run_cli("pfunc", str(p), "--j", "1").stdout
         assert "non-classical" in out
 
+    def test_json_reports_captured_warnings(self, tmp_path):
+        a = 1.0 / math.sqrt(4.0 * math.pi)
+        p = tmp_path / "neg.json"
+        coeffs = [{"l": 0, "m": 0, "re": a, "im": 0.0}, {"l": 1, "m": 0, "re": 0.4, "im": 0.0}]
+        p.write_text(json.dumps({"schema_version": 1, "l_max": 1, "coeffs": coeffs}))
+        doc = json.loads(run_cli("pfunc", str(p), "--j", "1", "--json").stdout)
+        assert doc["non_classical"] is True
+        assert len(doc["warnings"]) == 1
+        assert "negative on the grid" in doc["warnings"][0]
+        doc = json.loads(run_cli("pfunc", "uniform", "--j", "1", "--json").stdout)
+        assert doc["warnings"] == []
+
 
 class TestPaperExample:
     def test_passes_and_is_deterministic(self):

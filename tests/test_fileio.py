@@ -226,6 +226,29 @@ class TestExpansionFile:
             load_expansion(write(tmp_path, "dup.json", doc))
 
 
+@pytest.mark.parametrize(
+    "load, head, field, noun, a, b",
+    [
+        (load_tensor, {"j_doubled": 2}, "entries", "entry", "k", "q"),
+        (load_expansion, {"l_max": 1}, "coeffs", "coefficient", "l", "m"),
+    ],
+)
+def test_entry_list_messages(tmp_path, load, head, field, noun, a, b):
+    # the two entry-list schemas share one reader; each keeps its own wording
+    def reject(entries, message):
+        doc = {"schema_version": 1, **head, field: entries}
+        with pytest.raises(ValidationError) as caught:
+            load(write(tmp_path, "doc.json", doc))
+        assert str(caught.value) == message
+
+    one = {a: 1, b: 0, "re": 0.1, "im": 0.0}
+    reject({}, f"{field} must be a list")
+    reject([one, {a: 1, b: 0, "re": 0.1}], f"{noun} 1 must have exactly the fields {a}, {b}, re, im")
+    reject([one, one], f"duplicate {noun} for {a} = 1, {b} = 0")
+    reject([{**one, b: 0.5}], f"{b} must be an integer, got 0.5")
+    reject([{**one, "im": "x"}], "im must be a number, got 'x'")
+
+
 class TestDetectKind:
     def test_each_schema(self, tmp_path):
         rng = np.random.default_rng(47)

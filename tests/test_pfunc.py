@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinaxes import (
     DomainError,
@@ -100,6 +102,13 @@ class TestMultipoleScale:
                 )
                 tol = 1e-15 if dj <= 4 else 1e-14
                 assert multipole_scale(h(dj), k) == pytest.approx(want, abs=tol)
+
+    def test_matches_exact_coefficient_relatively(self):
+        # c_k falls to 8e-18 at 2j = k = 60, where an absolute bound says nothing
+        for dj in range(61):
+            for k in range(dj + 1):
+                want = math.sqrt(4.0 * math.pi) * cg_value(h(dj), h(2 * k), h(dj), h(dj), h(0), h(dj))
+                assert multipole_scale(h(dj), k) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_rank_zero(self):
         assert multipole_scale(h(3), 0) == pytest.approx(math.sqrt(4.0 * math.pi), abs=1e-15)
@@ -228,6 +237,34 @@ class TestSphericalExpansion:
                 table[(l, m)] = z
                 table[(l, -m)] = (-1.0) ** m * z.conjugate()
         return SphericalExpansion.from_table(l_max, table)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3),
+        st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4),
+    )
+    def test_evaluate_matches_harmonic_sum(self, l_max, seed, thetas, phis):
+        # spherical_harmonic is computed independently of the ring synthesis
+        lam = self._random_real(np.random.default_rng(seed), l_max)
+
+        def direct(theta, phi):
+            return sum(
+                lam.item(l, m) * np.conj(spherical_harmonic(l, m, theta, phi))
+                for l in range(l_max + 1)
+                for m in range(-l, l + 1)
+            )
+
+        # every theta is repeated along the phi axis of the mesh
+        want = np.array([[direct(a, b) for b in phis] for a in thetas])
+        tol = 1e-13 * max(1.0, np.abs(want).max())
+        got = lam.evaluate(np.array(thetas)[:, None], np.array(phis)[None, :])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol
+        scalar = lam.evaluate(thetas[0], phis[0])
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - want[0, 0]) <= tol
 
     @pytest.mark.parametrize("l_max", [0, 1, 4, 60])
     def test_grid_values_match_evaluate(self, l_max):
@@ -412,6 +449,14 @@ class TestDistributionRoutes:
         lam = SphericalExpansion.from_table(1, {(0, 0): a, (1, 0): 0.5})
         with pytest.warns(NonClassicalWarning):
             t_from_distribution(lam, h(1))
+
+    def test_negative_weight_warning_names_the_caller(self):
+        a = 1.0 / math.sqrt(4.0 * math.pi)
+        lam = SphericalExpansion.from_table(1, {(0, 0): a, (1, 0): 0.5})
+        for route in (t_from_distribution, rho_from_distribution):
+            with pytest.warns(NonClassicalWarning) as caught:
+                route(lam, h(1))
+            assert [w.filename for w in caught] == [__file__]
 
     def test_negativity_above_2j_warns_about_the_weight_only(self):
         # the negative part lies in degree 4 > 2j, which never reaches rho: the
