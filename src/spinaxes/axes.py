@@ -75,9 +75,12 @@ class Axis:
         with phi in [0, pi) is chosen instead.
         """
         u = np.asarray(u, dtype=float)
-        # an exact power-of-two scale keeps the norm clear of overflow and underflow
+        # an exact power-of-two scale keeps the norm clear of overflow and underflow,
+        # so only a non-finite component leaves it non-finite
         u = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
         n = np.linalg.norm(u)
+        if not math.isfinite(n):
+            raise DomainError("direction has a non-finite component")
         if n < 1e-300:
             raise DomainError("zero vector spans no axis")
         x, y, z = u / n

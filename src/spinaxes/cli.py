@@ -135,12 +135,10 @@ def _write_plot(path: str, m, tol: float) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _tensor_text(t) -> None:
+def _tensor_text(t, clean=float) -> None:
     print("k q re im")
-    for k in range(t.max_rank + 1):
-        for q in range(-k, k + 1):
-            z = t.item(k, q)
-            print(f"{k} {q} {_fmt(z.real)} {_fmt(z.imag)}")
+    for (k, q), z in t.table().items():
+        print(f"{k} {q} {_fmt(clean(z.real))} {_fmt(clean(z.imag))}")
 
 
 def cmd_rho2t(args) -> int:
@@ -385,11 +383,7 @@ def cmd_paper_example(args) -> int:
     _print_matrix(_snap(rho.matrix))
     print(f"singlet weight after coupling: {_fmt(_chop(coupled[3, 3].real))}")
     print("tensor parameters:")
-    print("k q re im")
-    for k in range(t.max_rank + 1):
-        for q in range(-k, k + 1):
-            z = t.item(k, q)
-            print(f"{k} {q} {_fmt(_chop(z.real))} {_fmt(_chop(z.imag))}")
+    _tensor_text(t, _chop)
     print("rank-2 polynomial (Z^4 .. Z^0): " + " ".join(_fmt_complex(z) for z in _snap(quartic)))
     print(f"roots: +1j x2, -1j x2 (at infinity: {at_inf})")
     print(f"rank 1: radius {_fmt(m.rank(1).radius)}")

@@ -202,11 +202,7 @@ def load_tensor(path) -> TensorParams:
 
 
 def dump_tensor(t: TensorParams) -> dict:
-    entries = []
-    for k in range(t.max_rank + 1):
-        for q in range(-k, k + 1):
-            z = t.item(k, q)
-            entries.append({"k": k, "q": q, "re": z.real, "im": z.imag})
+    entries = [{"k": k, "q": q, "re": z.real, "im": z.imag} for (k, q), z in t.table().items()]
     return {"schema_version": SCHEMA_VERSION, "j_doubled": t.j.doubled, "entries": entries}
 
 

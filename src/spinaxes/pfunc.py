@@ -54,7 +54,8 @@ import numpy as np
 from .angular import MAX_DEGREE
 from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt, halfint
-from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _conjugation_mirror, _order_block
+from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _order_block
+from .tensors import _checked_blocks, _entry_blocks, _half_blocks  # the shared rank-table layout
 
 NORMALIZATION_TOL = 1e-8
 REALITY_TOL = 1e-10
@@ -129,11 +130,12 @@ def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature on the sphere: Gauss-Legendre in cos(theta),
     uniform in phi.  Node weights sum to 4 pi; the rule integrates any
     integrand of spherical-harmonic degree <= band_limit exactly.
+    ``==`` is identity.
     """
 
     theta: np.ndarray
@@ -191,13 +193,14 @@ class QuadratureGrid:
         return np.sum(self.weights() * values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalExpansion:
     """Coefficients of lambda(Omega) = sum_lm a^l_m conj(Y^l_m(Omega)).
 
-    ``blocks[l]`` holds a^l_m for m = -l .. +l (ascending).  Real-valued
-    expansions, the only kind accepted, satisfy
-    conj(a^l_m) = (-1)^m a^l_{-m}.
+    ``blocks[l]`` holds a^l_m for m = -l .. +l (ascending), read-only and laid
+    out as the ranks of :class:`TensorParams`.  Coefficients are finite, and
+    real-valued expansions, the only kind accepted, satisfy
+    conj(a^l_m) = (-1)^m a^l_{-m}.  ``==`` is identity.
     """
 
     l_max: int
@@ -207,28 +210,13 @@ class SphericalExpansion:
         _check_l_max(self.l_max)
         if len(self.blocks) != self.l_max + 1:
             raise ValidationError(f"expected blocks for l = 0 .. {self.l_max}")
-        blocks = []
-        for l, block in enumerate(self.blocks):
-            a = np.array(block, dtype=complex)
-            if a.shape != (2 * l + 1,):
-                raise ValidationError(f"degree {l} block has shape {a.shape}, expected ({2 * l + 1},)")
-            if np.abs(a - _conjugation_mirror(a)).max() > 1e-12:
-                raise ValidationError(f"degree {l} violates the reality condition conj(a^l_m) = (-1)^m a^l_-m")
-            a.setflags(write=False)
-            blocks.append(a)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        blocks = _checked_blocks(self.blocks, "degree", "the reality condition conj(a^l_m) = (-1)^m a^l_-m")
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_table(cls, l_max: int, table: Mapping) -> "SphericalExpansion":
         _check_l_max(l_max)
-        blocks = [np.zeros(2 * l + 1, dtype=complex) for l in range(l_max + 1)]
-        for (l, m), v in table.items():
-            if not 0 <= l <= l_max:
-                raise ValidationError(f"degree {l} outside 0 .. {l_max}")
-            if abs(m) > l:
-                raise ValidationError(f"order m = {m} outside |m| <= {l}")
-            blocks[l][m + l] = v
-        return cls(l_max, tuple(blocks))
+        return cls(l_max, _entry_blocks(l_max, table, "degree", "m"))
 
     @classmethod
     def uniform(cls) -> "SphericalExpansion":
@@ -307,7 +295,7 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     return vals.real
 
 
-def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> list[np.ndarray]:
+def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> tuple:
     """Blocks of sum_nodes w Y^l_m for l = 0 .. l_max, m ascending, from real node weights w.
 
     The sum over phi is one product with e^{i m phi}, the sum over theta one
@@ -316,14 +304,7 @@ def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> list[np.ndarra
     """
     m = np.arange(l_max + 1)
     per_m = w @ np.exp(1j * np.outer(grid.phi, m))  # (n_theta, m)
-    a = np.einsum("lmi,im->lm", _legendre_table(l_max, grid.theta), per_m)
-    blocks = []
-    for l in range(l_max + 1):
-        b = np.zeros(2 * l + 1, dtype=complex)
-        b[l:] = a[l, : l + 1]
-        b[:l] = _conjugation_mirror(b)[:l]
-        blocks.append(b)
-    return blocks
+    return _half_blocks(np.einsum("lmi,im->lm", _legendre_table(l_max, grid.theta), per_m))
 
 
 def default_grid(l_max: int, j) -> QuadratureGrid:
@@ -400,7 +381,7 @@ def expansion_from_function(f, l_max: int, grid: QuadratureGrid | None = None) -
     if grid is None:
         grid = QuadratureGrid.for_band_limit(2 * l_max)
     vals = _values_on_grid(f, grid)
-    return SphericalExpansion(l_max, tuple(_analysis(grid.weights() * vals, grid, l_max)))
+    return SphericalExpansion(l_max, _analysis(grid.weights() * vals, grid, l_max))
 
 
 def ylm_squared_t(l: int, m: int, j) -> TensorParams:
@@ -422,8 +403,7 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
     if l > MAX_DEGREE:
         raise DomainError(f"degree l = {l} exceeds the supported range (l <= {MAX_DEGREE})")
     gaunt, scales = _order_block(2 * l, 0), _multipole_scales(j.doubled)
-    blocks = [np.zeros(2 * k + 1, dtype=complex) for k in range(j.doubled + 1)]
-    for k in range(0, min(j.doubled, 2 * l) + 1, 2):
-        blocks[k][k] = scales[k] * gaunt[k, l] * gaunt[k, l - m] / math.sqrt(4 * math.pi * (2 * k + 1))
-    blocks[0][0] = 1.0
-    return TensorParams(j, tuple(blocks))
+    table = {}
+    for k in range(2, min(j.doubled, 2 * l) + 1, 2):
+        table[k, 0] = scales[k] * gaunt[k, l] * gaunt[k, l - m] / math.sqrt(4 * math.pi * (2 * k + 1))
+    return TensorParams.from_table(j, table)

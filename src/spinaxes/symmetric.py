@@ -47,10 +47,10 @@ class BlochVector:
 
     @classmethod
     def from_cartesian(cls, x: float, y: float, z: float) -> "BlochVector":
-        r = math.sqrt(x * x + y * y + z * z)
-        if r < 1e-300:
+        # hypot and atan2 neither underflow nor lose the polar angle near the poles, as acos(z / r) would
+        if math.hypot(x, y, z) == 0.0:
             raise DomainError("zero vector has no direction")
-        return cls(math.acos(min(max(z / r, -1.0), 1.0)), math.atan2(y, x))
+        return cls(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
     @property
     def cartesian(self) -> np.ndarray:

@@ -28,9 +28,11 @@ rank's d^k(theta) through the quarter turn Delta = d^k(pi/2) (Risbo
 1996; Trapani and Navaza 2006), whose tables are built once from one d
 ladder and shared by every later call, so no call runs a ladder.
 
-``TensorParams`` copies its blocks into one flat read-only array, rank k
-at k^2 .. (k+1)^2 - 1, and checks finiteness and the conjugation identity
-once over that array; its ``ranks`` are views of it.
+``TensorParams`` and ``pfunc.SphericalExpansion`` share one table layout,
+owned here: blocks k = 0 .. K, q = -k .. k, as read-only views of one flat
+array (rank k at k^2 .. (k+1)^2 - 1), checked once for shape, finiteness and
+conj(x^k_q) = (-1)^q x^k_-q, filled from {(k, q): value} mappings by one
+function and completed from their q >= 0 half by another.
 
 Matrices are indexed by descending m, from +j to -j.
 """
@@ -67,21 +69,64 @@ def _first_rank(bad: np.ndarray) -> int | None:
     return math.isqrt(int(bad.argmax())) if bad.any() else None
 
 
-def _check_finite(flat: np.ndarray) -> None:
-    k = _first_rank(~np.isfinite(flat))
-    if k is not None:
-        raise ValidationError(f"rank {k} block has a non-finite entry")
-
-
 @lru_cache(maxsize=None)
-def _flat_mirror(dj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index of t^k_-q and the sign (-1)^q for every t^k_q of the flat rank layout, read-only."""
-    k = np.repeat(np.arange(dj + 1), 2 * np.arange(dj + 1) + 1)
-    q = np.arange((dj + 1) ** 2) - k * k - k
-    mirror, sign = k * k + k - q, (-1.0) ** q
-    mirror.setflags(write=False)
-    sign.setflags(write=False)
-    return mirror, sign
+def _rank_layout(top: int) -> tuple:
+    """Read-only k, q, index of x^k_-q and sign (-1)^q of each entry of the flat layout of ranks 0 .. top."""
+    k = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
+    q = np.arange((top + 1) ** 2) - k * k - k
+    layout = k, q, k * k + k - q, (-1.0) ** q
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def _split(flat: np.ndarray) -> tuple:
+    """Views of the blocks of a flat layout, rank k at k^2 .. (k+1)^2 - 1."""
+    return tuple(flat[k * k : (k + 1) ** 2] for k in range(math.isqrt(len(flat))))
+
+
+def _checked_blocks(blocks, noun: str, identity: str, normalized: bool = False) -> tuple:
+    """Views of one fresh read-only flat copy of blocks 0, 1, ..., checked in this order: finiteness below
+    the first block not of shape (2k + 1,), that shape, t^0_0 = 1 if normalized, the conjugation identity."""
+    parts = []
+    for k, block in enumerate(blocks):
+        a = np.asarray(block, dtype=complex)
+        if a.shape != (2 * k + 1,):
+            break
+        parts.append(a)
+    flat = np.concatenate(parts or [np.zeros(0)])
+    bad = _first_rank(~np.isfinite(flat))
+    if bad is not None:
+        raise ValidationError(f"{noun} {bad} block has a non-finite entry")
+    if len(parts) < len(blocks):
+        raise ValidationError(f"{noun} {k} block has shape {a.shape}, expected ({2 * k + 1},)")
+    if normalized and abs(flat[0] - 1.0) > TENSOR_TOL:
+        raise ValidationError(f"t^0_0 = {flat[0]:.6g}, expected 1 (normalization)")
+    _, _, mirror, sign = _rank_layout(len(parts) - 1)
+    bad = _first_rank(np.abs(flat - sign * flat[mirror].conj()) > TENSOR_TOL)
+    if bad is not None:
+        raise ValidationError(f"{noun} {bad} violates {identity}")
+    flat.setflags(write=False)
+    return _split(flat)
+
+
+def _entry_blocks(top: int, table: Mapping, noun: str, order: str) -> tuple:
+    """Blocks of ranks 0 .. top from a {(k, q): value} mapping, zero where it has no entry."""
+    flat = np.zeros((top + 1) ** 2, dtype=complex)
+    for (k, q), v in table.items():
+        if not 0 <= k <= top:
+            raise ValidationError(f"{noun} {k} outside 0 .. {top}")
+        if not -k <= q <= k:
+            raise ValidationError(f"order {order} = {q} outside |{order}| <= {k}")
+        flat[k * k + k + q] = v
+    return _split(flat)
+
+
+def _half_blocks(half: np.ndarray) -> tuple:
+    """Blocks from half[k, q] = x^k_q, 0 <= q <= k, and the identity x^k_-q = (-1)^q conj(x^k_q)."""
+    k, q, _, sign = _rank_layout(len(half) - 1)
+    kept = half[k, np.abs(q)]
+    return _split(np.where(q < 0, kept.conj() * sign, kept))
 
 
 def _check_spin(j: HalfInt) -> None:
@@ -91,7 +136,7 @@ def _check_spin(j: HalfInt) -> None:
         raise DomainError(f"j = {j} exceeds the supported range (j <= {MAX_DOUBLED_J // 2})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinDensityMatrix:
     """A trace-one Hermitian matrix on the spin-j ladder basis.
 
@@ -138,12 +183,13 @@ class SpinDensityMatrix:
         return self.min_eigenvalue() >= PSD_FLOOR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorParams:
     """Tensor parameters t^k_q of a spin-j state, ranks k = 0 .. 2j.
 
     ``ranks[k]`` is a read-only complex array over q = -k .. +k (ascending).
     Valid tables have t^0_0 = 1 and obey conj(t^k_q) = (-1)^q t^k_{-q}.
+    ``==`` is identity; compare tables with :meth:`max_abs_diff`.
     """
 
     j: HalfInt
@@ -155,25 +201,8 @@ class TensorParams:
         _check_spin(j)
         if len(self.ranks) != j.doubled + 1:
             raise ValidationError(f"expected ranks 0 .. {j.doubled}, got {len(self.ranks)} blocks")
-        blocks = []
-        for k, block in enumerate(self.ranks):
-            a = np.asarray(block, dtype=complex)
-            if a.shape != (2 * k + 1,):
-                if blocks:  # a non-finite entry below rank k is the earlier failure
-                    _check_finite(np.concatenate(blocks))
-                raise ValidationError(f"rank {k} block has shape {a.shape}, expected ({2 * k + 1},)")
-            blocks.append(a)
-        # one fresh copy holds every rank, k^2 .. (k+1)^2 - 1 for rank k
-        flat = np.concatenate(blocks)
-        _check_finite(flat)
-        if abs(flat[0] - 1.0) > TENSOR_TOL:
-            raise ValidationError(f"t^0_0 = {flat[0]:.6g}, expected 1 (normalization)")
-        mirror, sign = _flat_mirror(j.doubled)
-        k = _first_rank(np.abs(flat - sign * flat[mirror].conj()) > TENSOR_TOL)
-        if k is not None:
-            raise ValidationError(f"rank {k} violates conj(t^k_q) = (-1)^q t^k_-q")
-        flat.setflags(write=False)
-        object.__setattr__(self, "ranks", tuple(flat[k * k : (k + 1) ** 2] for k in range(j.doubled + 1)))
+        ranks = _checked_blocks(self.ranks, "rank", "conj(t^k_q) = (-1)^q t^k_-q", normalized=True)
+        object.__setattr__(self, "ranks", ranks)
 
     @classmethod
     def from_table(cls, j, table: Mapping) -> "TensorParams":
@@ -184,15 +213,7 @@ class TensorParams:
         """
         j = halfint(j)
         _check_spin(j)
-        blocks = [np.zeros(2 * k + 1, dtype=complex) for k in range(j.doubled + 1)]
-        blocks[0][0] = 1.0
-        for (k, q), v in table.items():
-            if not 0 <= k <= j.doubled:
-                raise ValidationError(f"rank {k} outside 0 .. {j.doubled}")
-            if not -k <= q <= k:
-                raise ValidationError(f"order q = {q} outside |q| <= {k}")
-            blocks[k][q + k] = v
-        return cls(j, tuple(blocks))
+        return cls(j, _entry_blocks(j.doubled, {(0, 0): 1.0, **table}, "rank", "q"))
 
     @property
     def max_rank(self) -> int:
@@ -212,7 +233,8 @@ class TensorParams:
         return complex(self.ranks[k][q + k])
 
     def table(self) -> dict:
-        return {(k, q): complex(self.ranks[k][q + k]) for k in range(self.max_rank + 1) for q in range(-k, k + 1)}
+        k, q, _, _ = _rank_layout(self.max_rank)
+        return dict(zip(zip(k.tolist(), q.tolist()), np.concatenate(self.ranks).tolist()))
 
     def max_abs_diff(self, other: "TensorParams") -> float:
         if self.j != other.j:
@@ -287,12 +309,12 @@ def rho_to_t(rho: SpinDensityMatrix) -> TensorParams:
     h = 0.5 * (rho.matrix + rho.matrix.conj().T)
     d = h[c, np.minimum(c + c[:, None], dj)]
     low = np.einsum("pkc,pc->kp", _order_stack(dj), d)  # low[k, p] = t^k_{-p}
-    q = np.arange(1, dj + 1)
-    full = np.concatenate((low[:, ::-1], (-1.0) ** q * low[:, 1:].conj()), axis=1)  # q = -2j .. 2j
-    blocks = [full[k, dj - k : dj + k + 1] for k in range(dj + 1)]
+    half = (-1.0) ** c * low.conj()  # half[k, q] = t^k_q = (-1)^q conj(t^k_{-q})
+    half[:, 0] = low[:, 0]
+    blocks = _half_blocks(half)
     # Tr(rho tau^0_0) is exactly the trace
     blocks[0][0] = 1.0
-    return TensorParams(rho.j, tuple(blocks))
+    return TensorParams(rho.j, blocks)
 
 
 def t_to_rho(t: TensorParams) -> SpinDensityMatrix:

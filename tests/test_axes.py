@@ -80,6 +80,11 @@ class TestAxisCanonicalization:
         with pytest.raises(DomainError):
             Axis.from_direction([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("u", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0], [1.0, math.inf, 0.0]])
+    def test_non_finite_direction_rejected(self, u):
+        with pytest.raises(DomainError, match="non-finite"):
+            Axis.from_direction(u)
+
     def test_tiny_negative_y_gives_phi_zero(self):
         # atan2 of a tiny negative y is -1e-17, which mod 2 pi rounds to 2 pi
         a = Axis.from_direction([0.1, -1e-18, 0.99])

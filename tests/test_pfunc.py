@@ -30,6 +30,7 @@ from spinaxes import (
 )
 from spinaxes.pfunc import _legendre_table, _values_on_grid
 from spinaxes.symmetric import BlochVector
+from spinaxes.tensors import _conjugation_mirror
 
 from oracles import jx_matrix, jy_matrix, jz_matrix, rho_by_nodes
 
@@ -294,9 +295,40 @@ class TestSphericalExpansion:
         got = _values_on_grid(lam, grid)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_non_finite_coefficient_names_its_degree(self, l, bad):
+        table = {(0, 0): 1.0 / math.sqrt(4.0 * math.pi), (1, 0): 0.1, (3, 0): 0.05}
+        table[(l, 0)] = bad
+        message = f"^degree {l} block has a non-finite entry$"
+        with pytest.raises(ValidationError, match=message):
+            SphericalExpansion.from_table(3, table)
+        blocks = tuple(np.array([table.get((d, m), 0.0) for m in range(-d, d + 1)]) for d in range(4))
+        with pytest.raises(ValidationError, match=message):
+            SphericalExpansion(3, blocks)
+
     def test_zero_normalization_rejected(self):
         with pytest.raises(DomainError, match="zero mean"):
             SphericalExpansion.from_table(0, {(0, 0): 0.0}).normalized()
+
+
+class TestValueSemantics:
+    def test_array_holding_types_compare_by_identity_and_hash(self):
+        rho = maximally_mixed(h(2))
+        objects = [
+            rho,
+            rho_to_t(rho),
+            SphericalExpansion.uniform(),
+            QuadratureGrid.for_band_limit(3),
+        ]
+        for x in objects:
+            assert (x == x) is True
+            assert isinstance(hash(x), int)
+        twins = [maximally_mixed(h(2)), rho_to_t(rho), SphericalExpansion.uniform(), QuadratureGrid.build(5, 9)]
+        for x, y in zip(objects, twins):
+            assert (x == y) is False
+            assert (x != y) is True
+        assert QuadratureGrid.for_band_limit(3) is objects[3]
 
 
 class TestLegendreTable:
@@ -482,6 +514,22 @@ class TestDistributionRoutes:
     def test_callable_needs_grid(self):
         with pytest.raises(DomainError, match="grid"):
             t_from_distribution(lambda th, ph: np.ones_like(th) / (4 * math.pi), h(1))
+
+    @pytest.mark.parametrize("dj", [1, 4, 13, 40])
+    def test_analysis_blocks_obey_the_identity_exactly(self, dj):
+        lam = self._random_classical(np.random.default_rng(200 + dj), 4)
+
+        def f(th, ph):
+            return (1.0 + 0.4 * np.cos(th) + 0.2 * np.sin(th) ** 2 * np.sin(2.0 * ph - 0.3)) / (4.0 * math.pi)
+
+        outputs = (
+            t_from_distribution(lam, h(dj)).ranks,
+            t_from_distribution(f, h(dj), QuadratureGrid.for_band_limit(dj + 2)).ranks,
+            expansion_from_function(f, min(dj, 30)).blocks,
+        )
+        for blocks in outputs:
+            for block in blocks:
+                np.testing.assert_array_equal(block, _conjugation_mirror(block))
 
     def test_callable_with_grid(self):
         grid = default_grid(0, h(2))

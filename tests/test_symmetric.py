@@ -55,6 +55,18 @@ class TestBlochVector:
         with pytest.raises(DomainError):
             BlochVector.from_cartesian(0.0, 0.0, 0.0)
 
+    def test_from_cartesian_near_the_poles_and_at_tiny_scales(self):
+        # acos(z / r) gave theta = 0 and pi here; r^2 underflowed to zero for the small vectors
+        north = BlochVector.from_cartesian(1e-9, 0.0, 1.0)
+        assert north.theta == pytest.approx(1e-9, rel=1e-15)
+        south = BlochVector.from_cartesian(0.0, 1e-9, -1.0)
+        assert south.theta == pytest.approx(math.pi - 1e-9, rel=1e-15)
+        assert south.phi == math.pi / 2
+        tiny = BlochVector.from_cartesian(1e-200, 0.0, 0.0)
+        assert (tiny.theta, tiny.phi) == (math.pi / 2, 0.0)
+        small = BlochVector.from_cartesian(3e-170, 4e-170, 0.0)
+        assert (small.theta, small.phi) == (math.pi / 2, math.atan2(4.0, 3.0))
+
     def test_dot(self):
         x = BlochVector(math.pi / 2, 0.0)
         z = BlochVector(0.0, 0.0)
