@@ -60,6 +60,19 @@ def _check_jm(dj: int, dm: int, name: str = "j") -> None:
         raise DomainError(f"|m| = {abs(dm)}/2 exceeds {name} = {dj}/2")
 
 
+def _scaled_direction(u) -> tuple:
+    """(v, |v|) for v = u times the exact power of two that puts its largest component in [1/2, 1):
+    |v| can neither overflow nor underflow, so only a non-finite or zero u is rejected."""
+    u = np.asarray(u, dtype=float)
+    v = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
+    n = np.linalg.norm(v)
+    if not math.isfinite(n):
+        raise DomainError("direction has a non-finite component")
+    if n == 0.0:
+        raise DomainError("zero vector has no direction")
+    return v, n
+
+
 @dataclass(frozen=True)
 class ExactCoefficient:
     """A real number of the form ``sign * sqrt(magnitude_squared)``.

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import _scaled_direction
 from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt
 from .tensors import TensorParams
@@ -74,15 +75,7 @@ class Axis:
         equator, where that choice would be noise-driven, the endpoint
         with phi in [0, pi) is chosen instead.
         """
-        u = np.asarray(u, dtype=float)
-        # an exact power-of-two scale keeps the norm clear of overflow and underflow,
-        # so only a non-finite component leaves it non-finite
-        u = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
-        n = np.linalg.norm(u)
-        if not math.isfinite(n):
-            raise DomainError("direction has a non-finite component")
-        if n < 1e-300:
-            raise DomainError("zero vector spans no axis")
+        u, n = _scaled_direction(u)
         x, y, z = u / n
         if z < -EQUATOR_TOL:
             x, y, z = -x, -y, -z
@@ -451,6 +444,8 @@ def extract_mar(t: TensorParams, zero_tol: float = RADIUS_ZERO_TOL) -> MarDecomp
 
 def collinearity_check(m: MarDecomposition, tol: float = 1e-8) -> bool:
     """True when all axes across ranks with nonzero radius share one line."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and non-negative, got {tol!r}")
     kept = [e for e in m.ranks if e.resolved and e.radius > tol]
     v = np.array([axis.unit_vector for e in kept for axis in e.axes]).reshape(-1, 3)
     return bool((np.abs(v @ v.T) >= 1.0 - tol).all())

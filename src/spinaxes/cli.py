@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .angular import MAX_DEGREE, cg
+from .angular import cg
 from .axes import collinearity_check, extract_mar, mar_polynomial, polynomial_roots
 from .errors import ConsistencyError, SpinAxesError, ValidationError
 from .fileio import (
@@ -232,8 +232,6 @@ def cmd_mar(args) -> int:
 
 def cmd_pfunc(args) -> int:
     j = HalfInt.parse(args.j)
-    if args.lmax is not None and not 0 <= args.lmax <= MAX_DEGREE:
-        raise ValidationError(f"--lmax must be in 0 .. {MAX_DEGREE}, got {args.lmax}")
     flags: list[str] = []
     source = args.source
     y2 = _Y2_RE.match(source)
@@ -248,6 +246,9 @@ def cmd_pfunc(args) -> int:
         else:
             label, lam = f"expansion from {source}", load_expansion(source)
         band = args.lmax if args.lmax is not None else lam.l_max
+        # a grid for a lower band than the expansion's would alias it
+        if band < lam.l_max:
+            raise ValidationError(f"--lmax {band} is below the expansion's degree {lam.l_max}")
         grid = default_grid(band, j)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -481,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pfunc", help="tensor parameters of a coherent-state weight function")
     p.add_argument("source", help="expansion JSON file, 'uniform', or 'y2:l=L,m=M'")
     p.add_argument("--j", required=True, help="spin, as n or n/2")
-    p.add_argument("--lmax", type=int, help="override the quadrature band limit")
+    p.add_argument("--lmax", type=int, help="quadrature band limit, at least the expansion's degree")
     p.add_argument("--tol", type=float, default=1e-8, help="zero-radius and collinearity tolerance")
     p.add_argument("--emit-plot", metavar="PATH", help="write axis endpoints as CSV")
     add_json(p)

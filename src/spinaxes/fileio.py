@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .halfint import HalfInt
 from .pfunc import SphericalExpansion
 from .symmetric import BlochVector, SeparableEnsemble
-from .tensors import SpinDensityMatrix, TensorParams, _check_spin
+from .tensors import SpinDensityMatrix, TensorParams, _spin
 
 SCHEMA_VERSION = 1
 # What `spinaxes t2rho --json` reports beside the state; ignored on loading
@@ -146,21 +146,20 @@ def detect_kind(path) -> str:
 def load_state(path) -> SpinDensityMatrix:
     obj = _load_json(path)
     _check_fields(obj, {"schema_version", "j_doubled", "matrix"}, "state file", _STATE_REPORT_FIELDS)
-    dj = _as_int(obj["j_doubled"], "j_doubled")
-    _check_spin(HalfInt(dj))
+    j = _spin(HalfInt(_as_int(obj["j_doubled"], "j_doubled")))
     rows = obj["matrix"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValidationError("matrix must be a list of rows")
-    dim = dj + 1
+    dim = j.doubled + 1
     out = np.empty((dim, dim), dtype=complex)
     if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValidationError(f"matrix must be {dim}x{dim} for j_doubled = {dj}")
+        raise ValidationError(f"matrix must be {dim}x{dim} for j_doubled = {j.doubled}")
     for a, row in enumerate(rows):
         for b, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise ValidationError(f"matrix entry ({a},{b}) must be an [re, im] pair")
             out[a, b] = complex(_as_number(cell[0], "re"), _as_number(cell[1], "im"))
-    return SpinDensityMatrix(HalfInt(dj), out)
+    return SpinDensityMatrix(j, out)
 
 
 def dump_state(rho: SpinDensityMatrix) -> dict:

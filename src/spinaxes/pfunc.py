@@ -53,8 +53,8 @@ import numpy as np
 
 from .angular import MAX_DEGREE
 from .errors import DomainError, NonClassicalWarning, ValidationError
-from .halfint import HalfInt, halfint
-from .tensors import SpinDensityMatrix, TensorParams, _check_spin, _order_block
+from .halfint import HalfInt
+from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
 from .tensors import _checked_blocks, _entry_blocks, _half_blocks  # the shared rank-table layout
 
 NORMALIZATION_TOL = 1e-8
@@ -66,8 +66,7 @@ _TABLE_ENTRIES = 1 << 21
 
 def coherent_state(j, theta: float, phi: float) -> np.ndarray:
     """Amplitude vector of |alpha(theta, phi)>, ordered m = +j .. -j."""
-    j = halfint(j)
-    _check_spin(j)
+    j = _spin(j)
     return _coherent_amplitudes(j.doubled, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
 
 
@@ -82,8 +81,7 @@ def _coherent_amplitudes(dj: int, theta: np.ndarray, phi: np.ndarray) -> np.ndar
 
 def multipole_scale(j, k: int) -> float:
     """The constant c_k(j) = sqrt(4 pi) <j j, k 0 | j j>, from its closed form."""
-    j = halfint(j)
-    _check_spin(j)
+    j = _spin(j)
     if not 0 <= k <= j.doubled:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
     return float(_multipole_scales(j.doubled)[k])
@@ -309,14 +307,13 @@ def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> tuple:
 
 def default_grid(l_max: int, j) -> QuadratureGrid:
     """Grid exact for products of a degree-l_max weight with rank <= 2j harmonics."""
-    j = halfint(j)
-    return QuadratureGrid.for_band_limit(l_max + j.doubled)
+    _check_l_max(l_max)
+    return QuadratureGrid.for_band_limit(l_max + _spin(j).doubled)
 
 
 def _distribution_weights(lam, j, grid: QuadratureGrid | None) -> tuple[HalfInt, QuadratureGrid, np.ndarray]:
     """(j, grid, node weights times lambda / its integral): both routes' checked preamble."""
-    j = halfint(j)
-    _check_spin(j)
+    j = _spin(j)
     if grid is None:
         if not isinstance(lam, SphericalExpansion):
             raise DomainError("a quadrature grid is required for callable weight functions")
@@ -394,8 +391,7 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
     <l m, k 0|l m> = <l m| tau^k_0 |l m> / sqrt(2k+1), zero for k > 2l;
     c_k is the closed-form table of :func:`multipole_scale`.
     """
-    j = halfint(j)
-    _check_spin(j)
+    j = _spin(j)
     if not isinstance(l, int) or not isinstance(m, int):
         raise DomainError("degree and order must be ints")
     if l < 0 or abs(m) > l:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import MAX_DOUBLED_J
+from .angular import MAX_DOUBLED_J, _scaled_direction
 from .errors import DomainError, ValidationError
 from .halfint import HalfInt
 from .pfunc import coherent_state
@@ -47,9 +47,8 @@ class BlochVector:
 
     @classmethod
     def from_cartesian(cls, x: float, y: float, z: float) -> "BlochVector":
-        # hypot and atan2 neither underflow nor lose the polar angle near the poles, as acos(z / r) would
-        if math.hypot(x, y, z) == 0.0:
-            raise DomainError("zero vector has no direction")
+        # atan2 keeps the polar angle near the poles, where acos(z / r) would lose it
+        (x, y, z), _ = _scaled_direction((x, y, z))
         return cls(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
     @property
@@ -87,10 +86,7 @@ def symmetric_subspace_unitary(n_qubits: int) -> np.ndarray:
     descending inside a group, so rows 0 .. n_qubits span the symmetric
     subspace j = n_qubits / 2.
     """
-    if not isinstance(n_qubits, int) or n_qubits < 1:
-        raise DomainError(f"need at least one qubit, got {n_qubits!r}")
-    if n_qubits > MAX_QUBITS:
-        raise DomainError(f"{n_qubits} qubits exceeds the supported maximum of {MAX_QUBITS}")
+    _check_qubits(n_qubits, MAX_QUBITS)
     up = np.array([1.0, 0.0])
     down = np.array([0.0, 1.0])
     # Each sector is (doubled_j, rows) with rows[i] the state of m = j - i.
@@ -129,12 +125,12 @@ def symmetrize_pair(d1: BlochVector, d2: BlochVector) -> tuple[np.ndarray, float
     return rho, float(coupled[3, 3].real)
 
 
-def _check_qubits(n_qubits) -> None:
-    """Reject a qubit count outside 1 .. MAX_DOUBLED_J before anything is allocated."""
+def _check_qubits(n_qubits, top: int = MAX_DOUBLED_J) -> None:
+    """Reject a qubit count outside 1 .. top before anything is allocated."""
     if not isinstance(n_qubits, int) or n_qubits < 1:
         raise DomainError(f"need at least one qubit, got {n_qubits!r}")
-    if n_qubits > MAX_DOUBLED_J:
-        raise DomainError(f"{n_qubits} qubits exceeds the supported maximum of {MAX_DOUBLED_J}")
+    if n_qubits > top:
+        raise DomainError(f"{n_qubits} qubits exceeds the supported maximum of {top}")
 
 
 def product_state_in_jm(direction: BlochVector, n_qubits: int) -> SpinDensityMatrix:

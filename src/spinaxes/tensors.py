@@ -129,11 +129,14 @@ def _half_blocks(half: np.ndarray) -> tuple:
     return _split(np.where(q < 0, kept.conj() * sign, kept))
 
 
-def _check_spin(j: HalfInt) -> None:
+def _spin(j) -> HalfInt:
+    """j as a HalfInt, checked to lie in 0 .. MAX_DOUBLED_J / 2 before anything of its size is built."""
+    j = halfint(j)
     if j.doubled < 0:
         raise DomainError(f"j must be non-negative, got {j}")
     if j.doubled > MAX_DOUBLED_J:
         raise DomainError(f"j = {j} exceeds the supported range (j <= {MAX_DOUBLED_J // 2})")
+    return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +153,8 @@ class SpinDensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        j = halfint(self.j)
+        j = _spin(self.j)
         object.__setattr__(self, "j", j)
-        _check_spin(j)
         m = np.array(self.matrix, dtype=complex)
         dim = dimension(j)
         if m.shape != (dim, dim):
@@ -196,9 +198,8 @@ class TensorParams:
     ranks: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
-        j = halfint(self.j)
+        j = _spin(self.j)
         object.__setattr__(self, "j", j)
-        _check_spin(j)
         if len(self.ranks) != j.doubled + 1:
             raise ValidationError(f"expected ranks 0 .. {j.doubled}, got {len(self.ranks)} blocks")
         ranks = _checked_blocks(self.ranks, "rank", "conj(t^k_q) = (-1)^q t^k_-q", normalized=True)
@@ -211,8 +212,7 @@ class TensorParams:
         Missing entries are zero except t^0_0, which defaults to the
         only value normalization allows.
         """
-        j = halfint(j)
-        _check_spin(j)
+        j = _spin(j)
         return cls(j, _entry_blocks(j.doubled, {(0, 0): 1.0, **table}, "rank", "q"))
 
     @property
@@ -287,8 +287,7 @@ def tau_operator(j, k: int, q: int) -> np.ndarray:
 
     Matrix elements sqrt(2k+1) <j m, k q | j m'> in the descending-m basis.
     """
-    j = halfint(j)
-    _check_spin(j)
+    j = _spin(j)
     if not isinstance(k, int) or not isinstance(q, int):
         raise DomainError("rank and order must be ints")
     if not 0 <= k <= j.doubled:
@@ -400,7 +399,6 @@ def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorPar
 
 def maximally_mixed(j) -> SpinDensityMatrix:
     """The state with every tensor parameter above rank zero equal to zero."""
-    j = halfint(j)
-    _check_spin(j)
+    j = _spin(j)
     dim = dimension(j)
     return SpinDensityMatrix(j, np.eye(dim) / dim)

@@ -450,6 +450,12 @@ class TestExtractMar:
             assert a.unit_vector[2] == pytest.approx(0.0, abs=1e-7)
         assert not collinearity_check(m)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_collinearity_tolerance_must_be_finite_and_non_negative(self, tol):
+        m = extract_mar(TensorParams.from_table(h(1), {(1, 0): 0.3}))
+        with pytest.raises(DomainError, match="tolerance"):
+            collinearity_check(m, tol)
+
 
 class TestResidualFloor:
     """Any block rebuilt with an axis at Z has a polynomial vanishing at Z, so

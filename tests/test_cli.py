@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -32,6 +33,7 @@ def run_cli(*args, expect=0, memory_limit=None):
         text=True,
         env=env,
         preexec_fn=limit,
+        timeout=60,
     )
     assert completed.returncode == expect, (
         f"exit {completed.returncode}, expected {expect}\n"
@@ -222,6 +224,15 @@ class TestMalformedFiles:
         assert res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("j", ["5000", "100000", "-3"])
+    def test_pfunc_spin_bound(self, j):
+        # the spin is checked before the quadrature grid of band 2j is built
+        res = run_cli("pfunc", "uniform", "--j", j, expect=2, memory_limit=2 << 30)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: j ")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
     def test_huge_qubit_count_flag(self):
         res = run_cli("ensemble", "--n", "100000000", "--term", "1,0,0", expect=2, memory_limit=2 << 30)
         assert res.stdout == ""
@@ -231,6 +242,23 @@ class TestMalformedFiles:
 
 
 class TestMar:
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path):
+        # axes along z and x: a NaN tolerance used to turn "no" into "yes"
+        ens = tmp_path / "ens.json"
+        terms = [{"weight": 0.5, "theta": 0.0, "phi": 0.0}, {"weight": 0.5, "theta": math.pi / 2, "phi": 0.0}]
+        ens.write_text(json.dumps({"schema_version": 1, "n_qubits": 2, "terms": terms}))
+        assert "collinear: no" in run_cli("mar", str(ens)).stdout
+        for args in (
+            ["mar", str(ens), "--tol", "nan"],
+            ["mar", str(ens), "--json", "--tol", "nan"],
+            ["mar", str(ens), "--tol", "inf"],
+            ["pfunc", "y2:l=1,m=0", "--j", "1", "--tol", "-1"],
+        ):
+            res = run_cli(*args, expect=2)
+            assert res.stdout == ""
+            assert res.stderr.startswith("error: tolerance ")
+            assert res.stderr.count("\n") == 1
+
     def test_text_report(self, tmp_path):
         state = paper_state_file(tmp_path)
         out = run_cli("mar", str(state)).stdout
@@ -415,6 +443,32 @@ class TestPfunc:
         assert "negative on the grid" in doc["warnings"][0]
         doc = json.loads(run_cli("pfunc", "uniform", "--j", "1", "--json").stdout)
         assert doc["warnings"] == []
+
+    def test_lmax_below_the_expansion_degree_exit_2(self, tmp_path):
+        # a random positive expansion of degree 6: lambda = 1/(4 pi) + sum over l = 1 .. 6 of terms that
+        # are each at most |a^l| sqrt((2l+1)/(4 pi)) = 1/(48 pi) in magnitude (addition theorem)
+        rng = np.random.default_rng(5)
+        coeffs = [{"l": 0, "m": 0, "re": 1.0 / math.sqrt(4.0 * math.pi), "im": 0.0}]
+        for l in range(1, 7):
+            half = rng.normal(size=l + 1) + 1j * rng.normal(size=l + 1)  # a^l_m for m = 0 .. l
+            half[0] = half[0].real
+            block = np.concatenate([(-1.0) ** np.arange(l, 0, -1) * half[:0:-1].conj(), half])
+            block /= 48.0 * math.pi * np.linalg.norm(block) * math.sqrt((2 * l + 1) / (4.0 * math.pi))
+            coeffs += [{"l": l, "m": m, "re": a.real, "im": a.imag} for m, a in zip(range(-l, l + 1), block)]
+        p = tmp_path / "l6.json"
+        p.write_text(json.dumps({"schema_version": 1, "l_max": 6, "coeffs": coeffs}))
+        # a grid for band 0 + 2j would alias degree 6 into the ranks
+        res = run_cli("pfunc", str(p), "--j", "1", "--lmax", "0", expect=2)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: --lmax 0 ")
+        assert res.stderr.count("\n") == 1
+        # a band above the expansion's only refines the grid
+        tables = []
+        for flags in ([], ["--lmax", "40"]):
+            doc = json.loads(run_cli("pfunc", str(p), "--j", "1", "--json", *flags).stdout)
+            assert doc["non_classical"] is False
+            tables.append({(e["k"], e["q"]): complex(e["re"], e["im"]) for e in doc["tensor"]["entries"]})
+        assert max(abs(tables[0][key] - tables[1][key]) for key in tables[0]) < 1e-14
 
 
 class TestPaperExample:

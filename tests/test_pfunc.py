@@ -165,6 +165,13 @@ class TestQuadratureGrid:
         with pytest.raises(DomainError):
             QuadratureGrid.for_band_limit(-1)
 
+    def test_default_grid_checks_spin_and_degree_first(self):
+        # band l_max + 2j is built only from values inside the supported range
+        with pytest.raises(DomainError, match="j = 31"):
+            default_grid(0, 31)
+        with pytest.raises(DomainError, match="l_max"):
+            default_grid(61, 1)
+
     def test_band_limit_grid_is_built_once(self):
         g = QuadratureGrid.for_band_limit(11)
         assert QuadratureGrid.for_band_limit(11) is g

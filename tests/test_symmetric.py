@@ -67,6 +67,15 @@ class TestBlochVector:
         small = BlochVector.from_cartesian(3e-170, 4e-170, 0.0)
         assert (small.theta, small.phi) == (math.pi / 2, math.atan2(4.0, 3.0))
 
+    def test_from_cartesian_at_the_top_of_the_float_range(self):
+        # hypot(x, y) overflowed to inf here and gave theta = pi/2
+        big = BlochVector.from_cartesian(1.5e308, 1.5e308, 1.5e308)
+        assert big.theta == pytest.approx(math.atan(math.sqrt(2.0)), rel=1e-15)
+        assert big.phi == pytest.approx(math.pi / 4, rel=1e-15)
+        for v in ((math.inf, 0.0, 0.0), (0.0, math.nan, 1.0)):
+            with pytest.raises(DomainError, match="non-finite"):
+                BlochVector.from_cartesian(*v)
+
     def test_dot(self):
         x = BlochVector(math.pi / 2, 0.0)
         z = BlochVector(0.0, 0.0)
