@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -379,8 +380,8 @@ class RankDecomposition:
 
     ``radius`` is non-negative; ``sign`` carries the orientation of the
     fit, so the rank block reconstructs as sign * radius * s^k_q(axes).
-    Unresolved ranks (degenerate coupling) keep their axes but have no
-    radius: radius and residual are NaN and ``resolved`` is False.
+    Every rank has a finite radius and residual, so ``resolved`` is always
+    True (see ``extract_mar``).
     """
 
     rank: int
@@ -388,12 +389,10 @@ class RankDecomposition:
     sign: int
     axes: tuple
     residual: float
-    resolved: bool = True
+    resolved: ClassVar[bool] = True
 
     def reconstruct(self) -> np.ndarray:
         """The fitted rank block sign * radius * s^k_q, q ascending."""
-        if not self.resolved:
-            raise ConsistencyError(f"rank {self.rank} was not resolved")
         if self.radius == 0.0:
             return np.zeros(2 * self.rank + 1, dtype=complex)
         return self.sign * self.radius * axes_to_tensor(self.axes, self.rank)
@@ -413,32 +412,28 @@ class MarDecomposition:
 
     @property
     def max_residual(self) -> float:
-        vals = [r.residual for r in self.ranks if r.resolved]
-        return max(vals) if vals else 0.0
+        return max((r.residual for r in self.ranks), default=0.0)
 
 
-def extract_mar(t: TensorParams, zero_tol: float = RADIUS_ZERO_TOL) -> MarDecomposition:
+def extract_mar(t: TensorParams) -> MarDecomposition:
     """Full multiaxial decomposition of a valid tensor table.
 
-    Rank blocks below zero_tol in magnitude are recorded with zero radius
-    and no axes.  Degenerate couplings (axes that annihilate the stretched
-    tensor) leave the rank unresolved rather than raising.
+    Rank blocks below ``RADIUS_ZERO_TOL`` in magnitude are recorded with
+    zero radius and no axes; every other rank gets a finite radius.  |s^k|^2
+    is the Bombieri norm^2 of the product of the k unit axes' quadratics, each
+    of norm 1, so Bombieri's inequality [PQ]^2 >= m! n!/(m+n)! [P]^2 [Q]^2
+    bounds it below by 2^k/(2k)!, 1.7e-181 at k = 60: above ``fit_radius``'s cutoff.
     """
     entries = []
     floor = _TABLE_RTOL * float(np.linalg.norm(np.concatenate(t.ranks)))
     for k in range(1, t.max_rank + 1):
         block = t.rank(k)
-        if np.abs(block).max() <= zero_tol:
+        if np.abs(block).max() <= RADIUS_ZERO_TOL:
             entries.append(RankDecomposition(k, 0.0, 1, (), 0.0))
             continue
         axes = _rank_axes(block, mar_polynomial(t, k), floor)
-        try:
-            r, residual = fit_radius(block, axes_to_tensor(axes, k))
-        except ConsistencyError:
-            entries.append(RankDecomposition(k, math.nan, 1, axes, math.nan, resolved=False))
-            continue
-        sign = -1 if r < 0 else 1
-        entries.append(RankDecomposition(k, abs(r), sign, axes, residual))
+        r, residual = fit_radius(block, axes_to_tensor(axes, k))
+        entries.append(RankDecomposition(k, abs(r), -1 if r < 0 else 1, axes, residual))
     return MarDecomposition(t.j, tuple(entries))
 
 
@@ -446,6 +441,6 @@ def collinearity_check(m: MarDecomposition, tol: float = 1e-8) -> bool:
     """True when all axes across ranks with nonzero radius share one line."""
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tolerance must be finite and non-negative, got {tol!r}")
-    kept = [e for e in m.ranks if e.resolved and e.radius > tol]
+    kept = [e for e in m.ranks if e.radius > tol]
     v = np.array([axis.unit_vector for e in kept for axis in e.axes]).reshape(-1, 3)
     return bool((np.abs(v @ v.T) >= 1.0 - tol).all())

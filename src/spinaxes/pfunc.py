@@ -158,9 +158,11 @@ class QuadratureGrid:
     @classmethod
     @lru_cache(maxsize=32)
     def for_band_limit(cls, band_limit: int) -> "QuadratureGrid":
-        """Smallest default grid exact through the given harmonic degree.
+        """Default grid exact through at least the given harmonic degree.
 
-        Built once per band limit and shared: the grid is frozen and its
+        Its band_limit + 2 rings of 2 band_limit + 3 points integrate every
+        Y^D_m to rounding through D = 2 band_limit + 2, about twice the
+        degree asked for, so it is not the smallest such grid.  Built once per band limit and shared: the grid is frozen and its
         arrays are read-only.  The cache is bounded, so a stream of large
         band limits cannot pin their grids.
         """

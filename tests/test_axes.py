@@ -286,6 +286,21 @@ class TestAxesToTensor:
         with pytest.raises(DomainError):
             axes_to_tensor([Axis(0.0, 0.0)], 2)
 
+    @pytest.mark.parametrize("k", [1, 2, 12, 24, 60])
+    def test_coupling_is_bounded_away_from_zero(self, k):
+        # |s^k|^2 is the Bombieri norm^2 of the product of k quadratics of norm 1,
+        # so Bombieri's inequality bounds it below by 2^k / (2k)!, and no rank of
+        # extract_mar can couple to zero; at k = 1 it holds with equality, up to rounding
+        bound = 2.0**k / math.factorial(2 * k) * (1.0 - 1e-12)
+        rng = np.random.default_rng(7000 + k)
+        sets = [[Axis.from_direction(u) for u in rng.normal(size=(k, 3))] for _ in range(100)]
+        sets += [[Axis.from_direction(u)] * k for u in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])]
+        sets.append([Axis(math.pi / 2.0, math.pi * i / k) for i in range(k)])  # evenly over a great circle
+        sets.append([Axis(math.pi / 2.0, math.pi / 2.0 * (i % 2)) for i in range(k)])  # half along x, half along y
+        for axes_set in sets:
+            s = axes_to_tensor(axes_set, k)
+            assert float(np.vdot(s, s).real) >= bound
+
 
 class TestFitRadius:
     def test_recovers_scale(self):

@@ -299,6 +299,35 @@ class TestMar:
         out2 = run_cli("mar", str(tensor)).stdout
         assert "radius 0.433012702" in out2
 
+    @pytest.mark.parametrize("kind", ["state", "ensemble", "tensor"])
+    def test_reads_a_pipe(self, tmp_path, kind):
+        # a pipe can be read only once, so the kind and the content come from one read
+        ens = tmp_path / "ensemble.json"
+        ens.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "n_qubits": 4,
+                    "terms": [{"weight": 0.5, "theta": 0.3, "phi": 0.0}, {"weight": 0.5, "theta": 1.2, "phi": 2.0}],
+                }
+            )
+        )
+        state = tmp_path / "state.json"
+        state.write_text(run_cli("ensemble", str(ens), "--json").stdout)
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(run_cli("rho2t", str(state), "--json").stdout)
+        path = tmp_path / f"{kind}.json"
+        piped = subprocess.run(
+            [sys.executable, "-m", "spinaxes.cli", "mar", "/dev/stdin", "--json"],
+            input=path.read_text(),
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+            timeout=60,
+        )
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == run_cli("mar", str(path), "--json").stdout
+
     def test_tilted_product_state(self, tmp_path):
         # each rank k has one k-fold axis, tilted 0.1 rad from z
         state = tmp_path / "state.json"
