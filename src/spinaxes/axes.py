@@ -10,21 +10,29 @@ conjugation symmetry of t forces  conj(P_k(-1/conj(Z))) Z^{2k} to be
 proportional to P_k(Z).  Stereographic projection Z = tan(theta/2) e^{i phi}
 turns each pair into one axis on the sphere; read backwards, the product of
 the axes' quadratics is the polynomial of their stretched tensor s^k_q, and
-projecting t onto s recovers a signed radius.  An exact k-fold axis, as in
-product and uniaxial states, comes back from the companion matrix as k
-roots scattered by about eps^(1/k), so ``extract_mar`` first tries the
-whole rank as one axis, then pairs the roots and replaces each cluster by
-the axis of the mean of its roots.  A block rebuilt with an axis at Z has a
-polynomial vanishing there, so its residual is at least
-
-    |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i),
-
-and a collapse trial whose floor exceeds the tolerance is skipped without
-being built; the floor never accepts one.  The decomposition is
+projecting t onto s recovers a signed radius.  The decomposition is
 
     t^k_q ~= r_k s^k_q(axes),    r_k real of either sign,
 
 with the stored radius = |r_k| and the sign kept alongside.
+
+``extract_mar`` runs each step that costs O(k) per rank as one pass over
+the whole flat table, and per rank only the steps that cost O(k^2):
+
+1. Zonal pass.  An exact k-fold axis, as in product states, comes back from
+   the companion matrix as k roots scattered by about eps^(1/k), so every
+   rank is first tried as one axis, the null vector of a 3 x 3 Gram matrix
+   (one reduceat, one stacked eigh).  A block rebuilt with an axis at Z has
+   a polynomial vanishing there, so its residual is at least the floor
+   |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i); only ranks whose floor passes
+   build the k-fold fit.  The floor only skips trials, never accepts one.
+2. Per rank.  Every other nonzero rank solves its companion matrix once and
+   pairs its roots by nearest antipode.  Where two of its axes lie within
+   0.5 rad, they join, nearest first, and each join tries its group at the
+   mean of its roots, behind the same floor.
+3. Final pass.  Every axis is canonicalized and sorted at once, every
+   stretched tensor comes from one three-term recurrence over the axis
+   index, and every radius is fitted at once.
 """
 
 from __future__ import annotations
@@ -36,10 +44,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .angular import _scaled_direction
 from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt
-from .tensors import TensorParams
+from .tensors import TensorParams, _rank_layout
 
 ROOT_CLUSTER_RTOL = 1e-7
 PAIRING_TOL = 1e-6
@@ -65,8 +72,7 @@ class Axis:
 
     @property
     def unit_vector(self) -> np.ndarray:
-        s = math.sin(self.theta)
-        return np.array([s * math.cos(self.phi), s * math.sin(self.phi), math.cos(self.theta)])
+        return _unit_vectors(self.theta, self.phi)
 
     @classmethod
     def from_direction(cls, u) -> "Axis":
@@ -74,20 +80,52 @@ class Axis:
 
         The upper-hemisphere endpoint is chosen; within 1e-9 of the
         equator, where that choice would be noise-driven, the endpoint
-        with phi in [0, pi) is chosen instead.
+        with phi in [0, pi) is chosen instead.  One row of ``_canonical``.
         """
-        u, n = _scaled_direction(u)
-        x, y, z = u / n
-        if z < -EQUATOR_TOL:
-            x, y, z = -x, -y, -z
-        # a tiny negative y would leave phi at or within rounding below 2 pi; snapping
-        # it to phi = 0 moves the direction by |y|, so only |y| < 1e-15 snaps
-        phi = 0.0 if x > 0.0 and -1e-15 < y < 0.0 else math.atan2(y, x) % (2 * math.pi)
-        if abs(z) <= EQUATOR_TOL and phi >= math.pi:
-            phi -= math.pi
-            z = -z
-        # acos(z) would lose half its digits near the poles, where z is close to 1
-        return cls(math.atan2(math.hypot(x, y), z), phi)
+        theta, phi = _canonical(np.reshape(np.asarray(u, dtype=float), (1, 3)))
+        return cls(float(theta[0]), float(phi[0]))
+
+
+def _unit_vectors(theta, phi) -> np.ndarray:
+    """Unit vectors at polar angles theta and azimuths phi, along a new last axis."""
+    s = np.sin(theta)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def _canonical(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of the canonical axis of each row of u (n, 3); see ``Axis.from_direction``.
+
+    Each row is scaled by the power of two that puts its largest component
+    in [1/2, 1), so its norm can neither overflow nor underflow.
+    """
+    v = np.ldexp(u, -np.frexp(np.abs(u).max(axis=1))[1][:, None])
+    n = np.linalg.norm(v, axis=1)
+    if not np.isfinite(n).all():
+        raise DomainError("direction has a non-finite component")
+    if not n.all():
+        raise DomainError("zero vector has no direction")
+    x, y, z = (v / n[:, None]).T
+    flip = np.where(z < -EQUATOR_TOL, -1.0, 1.0)
+    x, y, z = flip * x, flip * y, flip * z
+    # a tiny negative y would leave phi at or within rounding below 2 pi; snapping
+    # it to phi = 0 moves the direction by |y|, so only |y| < 1e-15 snaps
+    phi = np.where((x > 0.0) & (-1e-15 < y) & (y < 0.0), 0.0, np.arctan2(y, x) % (2 * math.pi))
+    turn = (np.abs(z) <= EQUATOR_TOL) & (phi >= math.pi)
+    phi = np.where(turn, phi - math.pi, phi)
+    z = np.where(turn, -z, z)
+    # acos(z) would lose half its digits near the poles, where z is close to 1
+    return np.arctan2(np.hypot(x, y), z), phi
+
+
+def _sorted_axes(directions: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (theta, phi) of each direction (row), ordered by rank, then descending theta, then ascending phi."""
+    theta, phi = _canonical(directions)
+    order = np.lexsort((phi, -theta, ranks))
+    return theta[order], phi[order]
+
+
+def _axis_list(theta: np.ndarray, phi: np.ndarray) -> list:
+    return [Axis(a, b) for a, b in zip(theta.tolist(), phi.tolist())]
 
 
 def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
@@ -110,6 +148,66 @@ def _root_binomials(k: int) -> np.ndarray:
     b = np.sqrt([float(math.comb(2 * k, i)) for i in range(2 * k + 1)])
     b.flags.writeable = False
     return b
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Read-only index tables of ranks 1 .. top, built once per top by ``_layout``.
+
+    Rank k's entries are ``entries(k)`` of the flat table without rank 0,
+    its k axes ``axes(k)`` of an axis table, its 2k roots ``roots(k)`` of a
+    root table, and its pairs of axes ``axis_pairs(k)`` of ``pairs``.
+    """
+
+    ranks: np.ndarray  # 1 .. top
+    k: np.ndarray  # rank of each entry
+    q: np.ndarray  # order of each entry
+    binomials: np.ndarray  # sqrt(C(2k, k+q))
+    ladder: np.ndarray  # sqrt(k(k+1) - q(q+1)) of J+: zero at q = k, so J+- stay within a rank
+    starts: np.ndarray  # first entry of each rank
+    axis_rank: np.ndarray  # rank of each axis row
+    axis_slot: np.ndarray  # place of each axis row among its rank's k
+    pairs: np.ndarray  # every two axis rows a < b of one rank, rank by rank
+
+    @staticmethod
+    def entries(k: int) -> slice:
+        return slice(k * k - 1, (k + 1) ** 2 - 1)
+
+    @staticmethod
+    def axes(k: int) -> slice:
+        return slice(k * (k - 1) // 2, k * (k + 1) // 2)
+
+    @staticmethod
+    def roots(k: int) -> slice:
+        return slice(k * (k - 1), k * (k + 1))
+
+    @staticmethod
+    def axis_pairs(k: int) -> slice:
+        # ranks below k have sum_j j(j-1)/2 = C(k, 3) pairs
+        return slice(math.comb(k, 3), math.comb(k, 3) + k * (k - 1) // 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(top: int) -> _Layout:
+    k, q, _, _ = _rank_layout(top)
+    k, q = k[1:], q[1:]
+    ranks = np.arange(1, top + 1)
+    axis_rank = np.repeat(ranks, ranks)
+    first = ranks * (ranks - 1) // 2
+    layout = _Layout(
+        ranks=ranks,
+        k=k,
+        q=q,
+        binomials=np.concatenate([_root_binomials(r) for r in ranks.tolist()]),
+        ladder=np.sqrt(k * (k + 1) - q * (q + 1)),
+        starts=ranks * ranks - 1,
+        axis_rank=axis_rank,
+        axis_slot=np.arange(len(axis_rank)) - first[axis_rank - 1],
+        pairs=np.concatenate([np.stack(np.triu_indices(r, 1), axis=1) + first[r - 1] for r in ranks.tolist()]),
+    )
+    for a in vars(layout).values():
+        a.setflags(write=False)
+    return layout
 
 
 def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
@@ -139,10 +237,19 @@ def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
 
 
 def _raw_roots(c: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots; the matrix divides by the leading coefficient,
-    so one below the float range relative to the largest counts as zero."""
+    """Companion-matrix roots of a nonzero complex polynomial, highest degree first.
+
+    The matrix divides by the leading coefficient, so one below the float
+    range relative to the largest counts as zero; exactly zero trailing
+    coefficients give roots at zero.  It is the matrix ``np.roots`` builds.
+    """
     c = c / np.abs(c).max()
-    return np.roots(c[np.argmax(np.abs(c) >= np.finfo(float).tiny) :])
+    c = c[np.argmax(np.abs(c) >= np.finfo(float).tiny) :]
+    nonzero = np.flatnonzero(c)
+    c, zeros = c[: nonzero[-1] + 1], len(c) - 1 - nonzero[-1]
+    companion = np.eye(len(c) - 1, k=-1, dtype=complex)
+    companion[:1] = -c[1:] / c[0]
+    return np.concatenate([np.linalg.eigvals(companion), np.zeros(zeros, dtype=complex)])
 
 
 def _sphere_points(z: np.ndarray) -> np.ndarray:
@@ -150,19 +257,22 @@ def _sphere_points(z: np.ndarray) -> np.ndarray:
 
     Z = inf maps to the south pole.
     """
-    theta = 2.0 * np.arctan(np.abs(z))
-    phi = np.angle(z)
-    s = np.sin(theta)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+    return _unit_vectors(2.0 * np.arctan(np.abs(z)), np.angle(z))
 
 
-def _antipodal_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair each point greedily with the free point nearest its antipode.
+def _antipodal_pairs(points: np.ndarray) -> np.ndarray:
+    """Pair each point greedily with the free point nearest its antipode: (n/2, 2) index pairs.
 
-    Returns the (n/2, 2) index pairs and each pair's chordal distance from
-    being antipodal, |p_a + p_b|.
+    When the map from each point to its nearest antipode is an involution,
+    its pairs are the greedy ones: each partner is still free at its turn.
     """
     gram = points @ points.T
+    index = np.arange(len(points))
+    gram[index, index] = np.inf
+    nearest = gram.argmin(axis=1)
+    if (nearest[nearest] == index).all():
+        first = np.flatnonzero(index < nearest)
+        return np.stack([first, nearest[first]], axis=1)
     free = np.ones(len(points), dtype=bool)
     pairs = []
     for a in range(len(points)):
@@ -171,8 +281,13 @@ def _antipodal_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             b = int(np.argmin(np.where(free, gram[a], np.inf)))
             free[b] = False
             pairs.append((a, b))
-    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
-    return pairs, np.linalg.norm(points[pairs[:, 0]] + points[pairs[:, 1]], axis=1)
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+def _pair_vectors(points: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_a - p_b of each pair, and its chordal distance from being antipodal, |p_a + p_b|."""
+    a, b = points[pairs[:, 0]], points[pairs[:, 1]]
+    return a - b, np.linalg.norm(a + b, axis=1)
 
 
 def _check_pairing(z: np.ndarray, pairs: np.ndarray, gaps: np.ndarray) -> None:
@@ -204,14 +319,10 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
         raise DomainError(f"got {len(z)} roots in total, expected 2k = {2 * k}")
     z = np.array(z, dtype=complex)
     points = _sphere_points(z)
-    pairs, gaps = _antipodal_pairs(points)
+    pairs = _antipodal_pairs(points)
+    directions, gaps = _pair_vectors(points, pairs)
     _check_pairing(z, pairs, gaps)
-    return _sorted_axes(points[pairs[:, 0]] - points[pairs[:, 1]])
-
-
-def _sorted_axes(directions) -> list[Axis]:
-    """Axes along the given directions, by descending theta, then ascending phi."""
-    return sorted((Axis.from_direction(d) for d in directions), key=lambda a: (-a.theta, a.phi))
+    return _axis_list(*_sorted_axes(directions, np.zeros(k, dtype=int)))
 
 
 def _cluster_roots(z: np.ndarray, points: np.ndarray, pairs: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -254,91 +365,169 @@ def _residual_floor(coeffs: np.ndarray, z) -> np.ndarray:
     return value / (np.abs(powers) @ _root_binomials((len(coeffs) - 1) // 2))
 
 
-def _zonal_axis(block: np.ndarray) -> np.ndarray:
-    """The axis u of a block that is one k-fold axis, r s^k_q(u, ..., u).
+def _zonal_axes(flat: np.ndarray, q: np.ndarray, ladder: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The axis u of each block of a flat run, as if the block were r s^k_q(u, ..., u).
 
     That block is annihilated by u . V with V = (J_x, -J_y, J_z) of spin k
     (the m = 0 state along u, mirrored by the convention of t), so u spans
     the null space of Re <V_a t, V_b t>.  Every entry weighs in by its
     size, so rounding in the tiny extreme-q entries cannot spoil it.
     """
+    raised = np.zeros_like(flat)
+    raised[1:] = ladder[:-1] * flat[:-1]
+    lowered = np.zeros_like(flat)
+    lowered[:-1] = ladder[:-1] * flat[1:]
+    v = np.stack([(raised + lowered) / 2, (lowered - raised) / 2j, q * flat])
+    products = np.einsum("ai,bi->iab", v.real, v.real)
+    products += np.einsum("ai,bi->iab", v.imag, v.imag)
+    return np.linalg.eigh(np.add.reduceat(products, starts))[1][:, :, 0]
+
+
+def _zonal_axis(block: np.ndarray) -> np.ndarray:
+    """``_zonal_axes`` of one rank block, q ascending."""
     k = (len(block) - 1) // 2
-    q = np.arange(-k, k + 1)
-    ladder = np.sqrt(k * (k + 1) - q[:-1] * (q[:-1] + 1))
-    raised = np.concatenate([[0.0], ladder * block[:-1]])
-    lowered = np.concatenate([ladder * block[1:], [0.0]])
-    v = np.stack([(raised + lowered) / 2, (lowered - raised) / 2j, q * block])
-    return np.linalg.eigh((v.conj() @ v.T).real)[1][:, 0]
+    layout, rank = _layout(k), _Layout.entries(k)
+    return _zonal_axes(block, layout.q[rank], layout.ladder[rank], np.zeros(1, dtype=int))[0]
 
 
-def _rank_axes(block: np.ndarray, coeffs: np.ndarray, floor: float) -> tuple:
-    """Axes of one nonzero rank block from the roots of its polynomial.
+def _zonal_pass(flat, coeffs, nonzero, bound, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's zonal axis, and whether the rank is that axis k times.
 
-    A group of axes collapses to one axis when the block still rebuilds
-    within 1e-10 of its norm, or within ``floor`` (the table's rounding)
-    if larger.  The whole rank is tried first at ``_zonal_axis``: a k-fold
-    axis may scatter its roots wider than any window.  Otherwise the roots
-    are paired, axis pairs closer than 0.5 rad join, nearest first, and
-    each join tries its group at the mean of its roots (``_cluster_roots``).
-    Pairs left out of every kept collapse must be antipodal within
-    ``PAIRING_TOL``.
-
-    A trial with an axis at Z cannot rebuild the block closer than the
-    floor |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i) (``_residual_floor``,
-    one dot product), so a trial whose floor exceeds the bound is skipped
-    before its k-fold product is built.  The floor only skips: every trial
-    that runs is accepted or rejected by its fitted residual alone.
+    Only ranks whose residual floor at the root Z = (x + iy)/(1 + z) of the
+    upper end of their zonal axis is within the bound build the k-fold fit;
+    there |Z| <= 1, so the floor needs no reversal.
     """
-    k = (len(block) - 1) // 2
-    bound = max(_COLLAPSE_RTOL * float(np.linalg.norm(block)), floor)
-    zonal = _zonal_axis(block)
-    x, y, w = zonal if zonal[2] >= 0.0 else -zonal
-    if (
-        _residual_floor(coeffs, complex(x, y) / (1.0 + w))[0] <= bound
-        and fit_radius(block, _stretched(np.tile(zonal, (k, 1))))[1] <= bound
-    ):
-        return (Axis.from_direction(zonal),) * k
-    raw = _raw_roots(coeffs)
-    z = np.concatenate([raw, np.full(2 * k - len(raw), complex(math.inf))])
+    k, q, starts = layout.k, layout.q, layout.starts
+    zonal = _zonal_axes(flat, q, layout.ladder, starts)
+    x, y, w = (zonal * np.where(zonal[:, 2:] >= 0.0, 1.0, -1.0)).T
+    powers = np.vander((x + 1j * y) / (1.0 + w), 2 * len(zonal) + 1, increasing=True)[k - 1, k - q]
+    floors = np.abs(np.add.reduceat(coeffs * powers, starts))
+    floors /= np.add.reduceat(layout.binomials * np.abs(powers), starts)
+    tried = np.flatnonzero(nonzero & (floors <= bound))
+    single = np.zeros(len(zonal), dtype=bool)
+    if tried.size:
+        # ranks 1 .. n, n the highest tried: the first entries of the table
+        n = tried[-1] + 1
+        counts = np.zeros(n, dtype=int)
+        counts[tried] = tried + 1
+        s = _stretched_table(np.broadcast_to(zonal[:n, None], (n, n, 3)), counts, layout)
+        single[tried] = (_fit(flat[: len(s)], s, starts[:n], k[: len(s)] - 1)[1] <= bound[:n])[tried]
+    return zonal, single
+
+
+def _root_pass(flat, coeffs, bound, ranks: list, directions: np.ndarray, layout: _Layout) -> None:
+    """Axes of the given ranks from the roots of their polynomials, into their rows of ``directions``.
+
+    Per rank: the companion solve and the pairing; over the table: the
+    points, the axes, their angles and the check that pairs left out of
+    every collapse are antipodal within ``PAIRING_TOL``; per rank where two
+    axes lie within 0.5 rad: ``_collapse``.
+    """
+    z = np.full(2 * len(directions), complex(math.inf))
+    for k in ranks:
+        raw = _raw_roots(coeffs[layout.entries(k)])
+        z[k * (k - 1) : k * (k - 1) + len(raw)] = raw
     points = _sphere_points(z)
-    pairs, gaps = _antipodal_pairs(points)
-    units = points[pairs[:, 0]] - points[pairs[:, 1]]
-    units /= np.linalg.norm(units, axis=1)[:, None]
-    collapsed = np.zeros(k, dtype=bool)
-    a_idx, b_idx = np.triu_indices(k, 1)
-    angle = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", units[a_idx], units[b_idx])), 1.0))
+    pairs = np.zeros((len(directions), 2), dtype=int)
+    for k in ranks:
+        pairs[layout.axes(k)] = _antipodal_pairs(points[layout.roots(k)]) + k * (k - 1)
+    chosen = np.zeros(len(layout.ranks) + 1, dtype=bool)
+    chosen[ranks] = True
+    rows = np.flatnonzero(chosen[layout.axis_rank])
+    gaps = np.zeros(len(directions))
+    units, gaps[rows] = _pair_vectors(points, pairs[rows])
+    directions[rows] = units / np.linalg.norm(units, axis=1)[:, None]
+    a, b = layout.pairs.T
+    angle = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", directions[a], directions[b])), 1.0))
+    clustered = np.zeros_like(chosen)
+    clustered[layout.axis_rank[a[angle < _CLUSTER_WINDOW]]] = True
+    for k in np.flatnonzero(clustered & chosen).tolist():
+        entries, axes, roots, axis_pairs = layout.entries(k), layout.axes(k), layout.roots(k), layout.axis_pairs(k)
+        collapsed = _collapse(
+            flat[entries],
+            coeffs[entries],
+            float(bound[k - 1]),
+            z[roots],
+            points[roots],
+            pairs[axes] - k * (k - 1),
+            directions[axes],
+            layout.pairs[axis_pairs] - axes.start,
+            angle[axis_pairs],
+        )
+        gaps[axes][collapsed] = 0.0
+    _check_pairing(z, pairs[rows], gaps[rows])
+
+
+def _collapse(block, coeffs, bound: float, z, points, pairs, units, axis_pairs, angle) -> np.ndarray:
+    """Collapse clusters of one rank's axes, the rows of ``units`` (changed in place); returns the collapsed rows.
+
+    ``z`` are the rank's 2k roots, ``points`` their unit vectors, ``pairs``
+    their pairs, and ``angle`` the angle of each pair of axes in
+    ``axis_pairs``.  Axes closer than 0.5 rad join, nearest first, and each
+    join tries its group at the mean of its roots (``_cluster_roots``),
+    kept when the block still rebuilds within ``bound``.  A trial whose
+    residual floor exceeds the bound is skipped before it is built.
+    """
     close = np.flatnonzero(angle < _CLUSTER_WINDOW)
-    group = np.arange(k)
+    group = np.arange(len(units))
     joins = []
-    for c in close[np.argsort(angle[close], kind="stable")]:
-        ga, gb = group[a_idx[c]], group[b_idx[c]]
+    for a, b in axis_pairs[close[np.argsort(angle[close], kind="stable")]].tolist():
+        ga, gb = group[a], group[b]
         if ga != gb:
             group[group == gb] = ga
             joins.append(group == ga)
-    if joins:
-        joins = np.array(joins)
-        roots = _cluster_roots(z, points, pairs, joins)
-        kept = _residual_floor(coeffs, roots) <= bound
-        for members, point in zip(joins[kept], _sphere_points(roots[kept])):
-            trial = units.copy()
-            trial[members] = point
-            if fit_radius(block, _stretched(trial))[1] <= bound:
-                units = trial
-                collapsed[members] = True
-    _check_pairing(z, pairs, np.where(collapsed, 0.0, gaps))
-    return tuple(_sorted_axes(units))
+    joins = np.array(joins)
+    roots = _cluster_roots(z, points, pairs, joins)
+    kept = _residual_floor(coeffs, roots) <= bound
+    collapsed = np.zeros(len(units), dtype=bool)
+    for members, point in zip(joins[kept], _sphere_points(roots[kept])):
+        trial = units.copy()
+        trial[members] = point
+        if fit_radius(block, _stretched(trial))[1] <= bound:
+            units[members] = point
+            collapsed[members] = True
+    return collapsed
+
+
+def _stretched_rows(units: np.ndarray, counts) -> np.ndarray:
+    """sqrt(C(2k, k+q)) s^k_q, q ascending, of the first counts[r] unit vectors of each row r of units (R, K, 3).
+
+    Row r holds the product of those vectors' quadratics (see
+    ``axes_to_tensor``), then zeros.  One three-term recurrence over the
+    axis index serves every row; past its count a row is multiplied by the
+    quadratic 1, which leaves it exactly as it was.
+    """
+    rows, width = units.shape[:2]
+    x, y, z = np.moveaxis(units, 2, 0)
+    r2 = math.sqrt(2.0)
+    past = np.arange(width) >= np.asarray(counts)[:, None]
+    lo = np.where(past, 1.0, (x - 1j * y) / r2)
+    mid = np.where(past, 0.0, r2 * z)
+    hi = np.where(past, 0.0, -(x + 1j * y) / r2)
+    prod = np.zeros((rows, 2 * width + 1), dtype=complex)
+    prod[:, 0] = 1.0
+    for i in range(width):
+        n = 2 * i + 1
+        with_mid = prod[:, :n] * mid[:, i, None]
+        with_hi = prod[:, :n] * hi[:, i, None]
+        prod[:, :n] *= lo[:, i, None]
+        prod[:, 1 : n + 1] += with_mid
+        prod[:, 2 : n + 2] += with_hi
+    return prod
+
+
+def _stretched_table(units: np.ndarray, counts: np.ndarray, layout: _Layout) -> np.ndarray:
+    """s^k_q of ranks k = 1 .. n on the flat layout, from the first counts[k - 1] rows of units[k - 1] (n, n, 3)."""
+    n = len(units)
+    entries = (n + 1) ** 2 - 1
+    k, q = layout.k[:entries], layout.q[:entries]
+    return _stretched_rows(units, counts)[k - 1, k + q] / layout.binomials[:entries]
 
 
 def _stretched(units: np.ndarray) -> np.ndarray:
-    """s^k_q of k unit vectors (rows), q ascending; see ``axes_to_tensor``."""
+    """s^k_q of k unit vectors (rows), q ascending: one row of ``_stretched_rows``."""
     k = len(units)
-    x, y, z = units.T
-    r2 = math.sqrt(2.0)
-    quadratics = np.stack([(x - 1j * y) / r2, r2 * z, -(x + 1j * y) / r2], axis=1)
-    prod = np.ones(1, dtype=complex)
-    for quadratic in quadratics:
-        prod = np.convolve(prod, quadratic)
-    return prod / _root_binomials(k)
+    return _stretched_rows(units[None], [k])[0] / _root_binomials(k)
 
 
 def axes_to_tensor(axes, k: int) -> np.ndarray:
@@ -352,7 +541,18 @@ def axes_to_tensor(axes, k: int) -> np.ndarray:
         raise DomainError(f"need exactly k = {k} axes, got {len(axes)}")
     if k < 1:
         raise DomainError("rank must be at least one")
-    return _stretched(np.array([axis.unit_vector for axis in axes]))
+    theta, phi = np.array([(axis.theta, axis.phi) for axis in axes]).T
+    return _stretched(_unit_vectors(theta, phi))
+
+
+def _fit(flat: np.ndarray, s: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius r = Re<s, t>/<s, s> and residual max |t - r s| of each block t of a flat run against s.
+
+    ``starts`` are the blocks' first entries, ``owner`` the block of each
+    entry.  Each block is summed alone, so it fits the same in any run.
+    """
+    r = np.add.reduceat((s.conj() * flat).real, starts) / np.add.reduceat((s.conj() * s).real, starts)
+    return r, np.maximum.reduceat(np.abs(flat - r[owner] * s), starts)
 
 
 def fit_radius(t_rank, s) -> tuple[float, float]:
@@ -366,12 +566,10 @@ def fit_radius(t_rank, s) -> tuple[float, float]:
     s = np.asarray(s, dtype=complex)
     if t_rank.shape != s.shape or t_rank.ndim != 1:
         raise DomainError("rank block and coupled tensor must be equal-length vectors")
-    ss = float(np.vdot(s, s).real)
-    if ss < 1e-300:
+    if float(np.vdot(s, s).real) < 1e-300:
         raise ConsistencyError("axes couple to the zero tensor at this rank (degenerate coupling)")
-    r = float(np.vdot(s, t_rank).real) / ss
-    residual = float(np.abs(t_rank - r * s).max())
-    return r, residual
+    r, residual = _fit(t_rank, s, np.zeros(1, dtype=int), np.zeros(len(s), dtype=int))
+    return float(r[0]), float(residual[0])
 
 
 @dataclass(frozen=True)
@@ -423,17 +621,39 @@ def extract_mar(t: TensorParams) -> MarDecomposition:
     is the Bombieri norm^2 of the product of the k unit axes' quadratics, each
     of norm 1, so Bombieri's inequality [PQ]^2 >= m! n!/(m+n)! [P]^2 [Q]^2
     bounds it below by 2^k/(2k)!, 1.7e-181 at k = 60: above ``fit_radius``'s cutoff.
+
+    A rank is one k-fold axis, or a group of its axes collapses to one
+    axis, when the block still rebuilds within 1e-10 of its norm, or within
+    1e-14 of the table's norm if larger; see the module docstring.
     """
+    top = t.max_rank
+    if top == 0:
+        return MarDecomposition(t.j, ())
+    layout = _layout(top)
+    flat = np.concatenate(t.ranks)
+    floor = _TABLE_RTOL * float(np.linalg.norm(flat))
+    flat = flat[1:]
+    size = np.abs(flat)
+    nonzero = np.maximum.reduceat(size, layout.starts) > RADIUS_ZERO_TOL
+    bound = np.maximum(_COLLAPSE_RTOL * np.sqrt(np.add.reduceat(size * size, layout.starts)), floor)
+    coeffs = layout.binomials * flat
+    zonal, single = _zonal_pass(flat, coeffs, nonzero, bound, layout)
+    directions = np.repeat(zonal, layout.ranks, axis=0)
+    _root_pass(flat, coeffs, bound, (np.flatnonzero(nonzero & ~single) + 1).tolist(), directions, layout)
+
+    # every axis of the table at once: canonical, sorted, and fitted
+    theta, phi = _sorted_axes(directions, layout.axis_rank)
+    padded = np.zeros((top, top, 3))
+    padded[layout.axis_rank - 1, layout.axis_slot] = _unit_vectors(theta, phi)
+    counts = np.where(nonzero, layout.ranks, 0)
+    radii, residuals = _fit(flat, _stretched_table(padded, counts, layout), layout.starts, layout.k - 1)
+    axes = _axis_list(theta, phi)
     entries = []
-    floor = _TABLE_RTOL * float(np.linalg.norm(np.concatenate(t.ranks)))
-    for k in range(1, t.max_rank + 1):
-        block = t.rank(k)
-        if np.abs(block).max() <= RADIUS_ZERO_TOL:
+    for k, count, r, residual in zip(layout.ranks.tolist(), counts.tolist(), radii.tolist(), residuals.tolist()):
+        if count:
+            entries.append(RankDecomposition(k, abs(r), -1 if r < 0 else 1, tuple(axes[layout.axes(k)]), residual))
+        else:
             entries.append(RankDecomposition(k, 0.0, 1, (), 0.0))
-            continue
-        axes = _rank_axes(block, mar_polynomial(t, k), floor)
-        r, residual = fit_radius(block, axes_to_tensor(axes, k))
-        entries.append(RankDecomposition(k, abs(r), -1 if r < 0 else 1, axes, residual))
     return MarDecomposition(t.j, tuple(entries))
 
 
@@ -441,6 +661,6 @@ def collinearity_check(m: MarDecomposition, tol: float = 1e-8) -> bool:
     """True when all axes across ranks with nonzero radius share one line."""
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tolerance must be finite and non-negative, got {tol!r}")
-    kept = [e for e in m.ranks if e.radius > tol]
-    v = np.array([axis.unit_vector for e in kept for axis in e.axes]).reshape(-1, 3)
+    angles = np.array([(a.theta, a.phi) for e in m.ranks if e.radius > tol for a in e.axes]).reshape(-1, 2)
+    v = _unit_vectors(angles[:, 0], angles[:, 1])
     return bool((np.abs(v @ v.T) >= 1.0 - tol).all())

@@ -34,7 +34,9 @@ the phases e^{-i m phi} finish every point.
 
 Default grids (``QuadratureGrid.for_band_limit``, ``default_grid``) are
 built once per band limit, in a bounded cache, and shared: a grid is
-frozen and its arrays are read-only.
+frozen and its arrays are read-only.  The Legendre table the
+distribution routes contract with is cached the same way, per grid and
+degree.
 
 Weight functions are represented either as callables of (theta, phi) or as
 :class:`SphericalExpansion` coefficient tables over conj(Y^l_m).
@@ -295,16 +297,28 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     return vals.real
 
 
+@lru_cache(maxsize=32)
+def _grid_legendre_table(grid: QuadratureGrid, l_max: int) -> np.ndarray:
+    """Read-only ``_legendre_table`` on a grid's theta nodes, built once per (grid, l_max).
+
+    Grids hash by identity.  Like ``QuadratureGrid.for_band_limit``, the cache
+    is bounded, so a stream of large grids cannot pin their tables.
+    """
+    table = _legendre_table(l_max, grid.theta)
+    table.setflags(write=False)
+    return table
+
+
 def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> tuple:
     """Blocks of sum_nodes w Y^l_m for l = 0 .. l_max, m ascending, from real node weights w.
 
     The sum over phi is one product with e^{i m phi}, the sum over theta one
-    contraction with the Legendre table; a real w needs only m >= 0, and
-    the conjugation identity supplies the rest.
+    contraction with the grid's cached Legendre table; a real w needs only
+    m >= 0, and the conjugation identity supplies the rest.
     """
     m = np.arange(l_max + 1)
     per_m = w @ np.exp(1j * np.outer(grid.phi, m))  # (n_theta, m)
-    return _half_blocks(np.einsum("lmi,im->lm", _legendre_table(l_max, grid.theta), per_m))
+    return _half_blocks(np.einsum("lmi,im->lm", _grid_legendre_table(grid, l_max), per_m))
 
 
 def default_grid(l_max: int, j) -> QuadratureGrid:

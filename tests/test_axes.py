@@ -577,3 +577,159 @@ def _rotation_matrix(phi, theta, psi):
         return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
     return rz(phi) @ ry(theta) @ rz(psi)
+
+
+def _greedy_pairs(points):
+    """The pairing loop that ``_antipodal_pairs`` must reproduce: each point in
+    turn takes the free point nearest its antipode."""
+    gram = points @ points.T
+    free = np.ones(len(points), dtype=bool)
+    pairs = []
+    for a in range(len(points)):
+        if free[a]:
+            free[a] = False
+            b = int(np.argmin(np.where(free, gram[a], np.inf)))
+            free[b] = False
+            pairs.append((a, b))
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    return pairs, np.linalg.norm(points[pairs[:, 0]] + points[pairs[:, 1]], axis=1)
+
+
+def _nearest_antipode_is_involution(points):
+    gram = points @ points.T
+    np.fill_diagonal(gram, np.inf)
+    nearest = gram.argmin(axis=1)
+    return bool((nearest[nearest] == np.arange(len(points))).all())
+
+
+def _antipodal_roots(rng, k):
+    z = (rng.normal(size=k) + 1j * rng.normal(size=k)) * np.exp(rng.normal(size=k))
+    return rng.permutation(np.concatenate([z, -1.0 / z.conj()]))
+
+
+class TestPairingFastPath:
+    """When each point's nearest antipode is an involution, ``_antipodal_pairs``
+    takes its pairs at once; otherwise it runs the greedy loop.  Both must give
+    exactly the greedy loop's pairs and gaps."""
+
+    @staticmethod
+    def assert_greedy(points):
+        pairs = axes._antipodal_pairs(points)
+        want_pairs, want_gaps = _greedy_pairs(points)
+        np.testing.assert_array_equal(pairs, want_pairs)
+        np.testing.assert_array_equal(axes._pair_vectors(points, pairs)[1], want_gaps)
+
+    @pytest.mark.parametrize("n", [2, 8, 48, 120])
+    def test_random_antipodal_sets(self, n):
+        rng = np.random.default_rng(8100 + n)
+        for _ in range(20):
+            points = axes._sphere_points(_antipodal_roots(rng, n // 2))
+            assert _nearest_antipode_is_involution(points)
+            self.assert_greedy(points)
+
+    @pytest.mark.parametrize("fold", [2, 3, 5])
+    def test_k_fold_duplicates(self, fold):
+        rng = np.random.default_rng(8200 + fold)
+        for _ in range(10):
+            z = _antipodal_roots(rng, 3)
+            points = axes._sphere_points(rng.permutation(np.concatenate([z, np.repeat(z[:2], fold - 1)])))
+            # every copy of a root has the same nearest antipode, the first copy of its partner
+            assert not _nearest_antipode_is_involution(points)
+            self.assert_greedy(points)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_roots_at_infinity(self, count):
+        rng = np.random.default_rng(8300 + count)
+        for _ in range(10):
+            z = np.concatenate([_antipodal_roots(rng, 3), np.zeros(count), np.full(count, complex(math.inf))])
+            points = axes._sphere_points(rng.permutation(z))
+            assert _nearest_antipode_is_involution(points) == (count == 1)
+            self.assert_greedy(points)
+
+    def test_perturbed_sets_fall_back_to_the_loop(self):
+        rng = np.random.default_rng(8400)
+        fallbacks = 0
+        for _ in range(200):
+            points = axes._sphere_points(_antipodal_roots(rng, 6))
+            points = points + rng.normal(scale=0.3, size=points.shape)
+            points /= np.linalg.norm(points, axis=1)[:, None]
+            fallbacks += not _nearest_antipode_is_involution(points)
+            self.assert_greedy(points)
+        assert fallbacks >= 50
+
+
+def _awkward_directions():
+    rng = np.random.default_rng(8500)
+    u = rng.normal(size=(400, 3))
+    u[:, 2] = rng.uniform(-1e-9, 1e-9, 400) * rng.choice([1.0, 0.5, 2.0], 400)  # within about 1e-9 of the equator
+    v = rng.normal(size=(100, 3))
+    v[:, 0] = np.abs(v[:, 0])
+    v[:, 1] = -rng.uniform(0.0, 1e-15, 100)  # y in (-1e-15, 0)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-300, 0.0, 1.0], [0.0, -1e-17, -1.0], [-0.0, 0.0, 3.0]])
+    w = rng.normal(size=(100, 3))
+    w[:, 2] = -np.abs(w[:, 2]) - 1e-9  # z < -1e-9
+    big = rng.normal(size=(100, 3)) * 10.0 ** rng.choice([300.0, -300.0, 0.0], size=(100, 3))
+    return np.concatenate([u, v, poles, w, big])
+
+
+class TestCanonicalizationIsOneRoutine:
+    def test_from_direction_is_a_row_of_the_table_routine(self):
+        u = _awkward_directions()
+        theta, phi = axes._canonical(u)
+        for row, a, b in zip(u, theta.tolist(), phi.tolist()):
+            axis = Axis.from_direction(row)
+            assert (axis.theta, axis.phi) == (a, b)
+
+    def test_unit_vector_is_a_row_of_the_table_routine(self):
+        theta, phi = axes._canonical(_awkward_directions())
+        table = axes._unit_vectors(theta, phi)
+        for a, b, row in zip(theta.tolist(), phi.tolist(), table):
+            np.testing.assert_array_equal(Axis(a, b).unit_vector, row)
+
+
+class TestTablePassesMatchThePublicSteps:
+    """extract_mar runs the public per-rank steps as passes over the whole
+    table; on ranks without a collapsed cluster they must agree."""
+
+    @pytest.mark.parametrize("dj", [2, 8, 24, 40])
+    def test_generic_ranks_match_their_composition(self, dj):
+        rng = np.random.default_rng(8600 + dj)
+        checked = 0
+        for _ in range(3 if dj < 40 else 1):
+            t = rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1)))
+            for entry in extract_mar(t).ranks:
+                k = entry.rank
+                v = np.array([a.unit_vector for a in entry.axes])
+                if not entry.axes or (k > 1 and (np.abs(v @ v.T)[np.triu_indices(k, 1)] > math.cos(1e-6)).any()):
+                    continue
+                want = roots_to_axes(*polynomial_roots(mar_polynomial(t, k)), k)
+                for a, b in zip(entry.axes, want):
+                    u, w = a.unit_vector, b.unit_vector
+                    assert math.atan2(np.linalg.norm(np.cross(u, w)), abs(float(u @ w))) <= 1e-12
+                r, residual = fit_radius(t.rank(k), axes_to_tensor(entry.axes, k))
+                assert entry.sign * entry.radius == pytest.approx(r, rel=1e-12)
+                assert entry.residual == pytest.approx(residual, rel=1e-12)
+                checked += 1
+        assert checked >= dj
+
+
+class TestCollinearityInOnePass:
+    @staticmethod
+    def per_axis(m, tol):
+        v = np.array([a.unit_vector for e in m.ranks if e.radius > tol for a in e.axes]).reshape(-1, 3)
+        return bool((np.abs(v @ v.T) >= 1.0 - tol).all())
+
+    def test_verdicts_match_the_per_axis_check(self):
+        from spinaxes import BlochVector, product_state_in_jm
+
+        rng = np.random.default_rng(8700)
+        tables = [rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1))) for dj in (1, 2, 5, 12)]
+        tables += [rho_to_t(product_state_in_jm(BlochVector(theta, 0.4), n)) for theta, n in ((0.0, 3), (0.7, 8), (math.pi / 2, 16))]
+        tables.append(paper_tensor())
+        verdicts = set()
+        for m in map(extract_mar, tables):
+            for tol in (0.0, 1e-15, 1e-12, 1e-8, 1e-4, 0.5):
+                verdict = collinearity_check(m, tol)
+                assert verdict == self.per_axis(m, tol)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}

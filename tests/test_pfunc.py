@@ -28,7 +28,7 @@ from spinaxes import (
     wigner_D_matrix,
     ylm_squared_t,
 )
-from spinaxes.pfunc import _legendre_table, _values_on_grid
+from spinaxes.pfunc import _grid_legendre_table, _legendre_table, _values_on_grid
 from spinaxes.symmetric import BlochVector
 from spinaxes.tensors import _conjugation_mirror
 
@@ -179,6 +179,17 @@ class TestQuadratureGrid:
         for a in (g.theta, g.phi, g.theta_weights):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_legendre_table_is_built_once_per_grid_and_degree(self):
+        g = QuadratureGrid.for_band_limit(13)
+        other = QuadratureGrid.build(g.n_theta, g.n_phi)
+        table = _grid_legendre_table(g, 9)
+        assert _grid_legendre_table(g, 9) is table
+        assert _grid_legendre_table(other, 9) is not table  # grids hash by identity
+        assert _grid_legendre_table(g, 8) is not table
+        np.testing.assert_array_equal(table, _legendre_table(9, g.theta))
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
 
 
 class TestSphericalExpansion:
