@@ -60,15 +60,14 @@ def _check_jm(dj: int, dm: int, name: str = "j") -> None:
         raise DomainError(f"|m| = {abs(dm)}/2 exceeds {name} = {dj}/2")
 
 
-def _scaled_direction(u) -> tuple:
-    """(v, |v|) for v = u times the exact power of two that puts its largest component in [1/2, 1):
-    |v| can neither overflow nor underflow, so only a non-finite or zero u is rejected."""
-    u = np.asarray(u, dtype=float)
-    v = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
-    n = np.linalg.norm(v)
-    if not math.isfinite(n):
+def _scaled_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, |v|) of each row of u (n, 3), v the row times the exact power of two that puts its largest
+    component in [1/2, 1): |v| can neither overflow nor underflow, so only a non-finite or zero row is rejected."""
+    v = np.ldexp(u, -np.frexp(np.abs(u).max(axis=1))[1][:, None])
+    n = np.linalg.norm(v, axis=1)
+    if not np.isfinite(n).all():
         raise DomainError("direction has a non-finite component")
-    if n == 0.0:
+    if not n.all():
         raise DomainError("zero vector has no direction")
     return v, n
 

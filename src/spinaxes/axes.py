@@ -27,12 +27,19 @@ the whole flat table, and per rank only the steps that cost O(k^2):
    |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i); only ranks whose floor passes
    build the k-fold fit.  The floor only skips trials, never accepts one.
 2. Per rank.  Every other nonzero rank solves its companion matrix once and
-   pairs its roots by nearest antipode.  Where two of its axes lie within
-   0.5 rad, they join, nearest first, and each join tries its group at the
-   mean of its roots, behind the same floor.
+   pairs its roots greedily by nearest antipode; each pair is one axis.
+   Where two of its axes lie within 0.5 rad, they join, nearest first, and
+   each join tries its group at the mean of its roots, behind the same
+   floor, kept when the block still rebuilds within the bound.
 3. Final pass.  Every axis is canonicalized and sorted at once, every
    stretched tensor comes from one three-term recurrence over the axis
    index, and every radius is fitted at once.
+
+One rule accepts a rank's axes: the residual max_q |t^k_q - r s^k_q| of
+the final fit is within the rank's bound, 1e-10 of the block's 2-norm or
+1e-14 of the table's if larger.  The zonal axis, the collapses and the
+pairing only propose axes; how far a pair misses being antipodal is never
+judged.  A rank over its bound raises ``ConsistencyError``.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .angular import _scaled_direction
 from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt
 from .tensors import TensorParams, _rank_layout
@@ -52,8 +60,8 @@ ROOT_CLUSTER_RTOL = 1e-7
 PAIRING_TOL = 1e-6
 # joins neighbours in a k-fold cluster, whose roots scatter by about eps^(1/k)
 _CLUSTER_WINDOW = 0.5
-# a collapse must rebuild the block to rounding (relative to its 2-norm),
-# which merging distinct axes cannot
+# every rank's bound: its axes must rebuild the block to rounding (relative
+# to its 2-norm), which merging distinct axes or mispaired roots cannot
 _COLLAPSE_RTOL = 1e-10
 # ...or to the rounding of the whole table, which every block carries: the top
 # ranks of near-coherent states are so small that it exceeds 1e-10 of them
@@ -93,17 +101,8 @@ def _unit_vectors(theta, phi) -> np.ndarray:
 
 
 def _canonical(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, phi) of the canonical axis of each row of u (n, 3); see ``Axis.from_direction``.
-
-    Each row is scaled by the power of two that puts its largest component
-    in [1/2, 1), so its norm can neither overflow nor underflow.
-    """
-    v = np.ldexp(u, -np.frexp(np.abs(u).max(axis=1))[1][:, None])
-    n = np.linalg.norm(v, axis=1)
-    if not np.isfinite(n).all():
-        raise DomainError("direction has a non-finite component")
-    if not n.all():
-        raise DomainError("zero vector has no direction")
+    """(theta, phi) of the canonical axis of each row of u (n, 3); see ``Axis.from_direction``."""
+    v, n = _scaled_direction(u)
     x, y, z = (v / n[:, None]).T
     flip = np.where(z < -EQUATOR_TOL, -1.0, 1.0)
     x, y, z = flip * x, flip * y, flip * z
@@ -290,17 +289,6 @@ def _pair_vectors(points: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np
     return a - b, np.linalg.norm(a + b, axis=1)
 
 
-def _check_pairing(z: np.ndarray, pairs: np.ndarray, gaps: np.ndarray) -> None:
-    bad = np.flatnonzero(gaps > PAIRING_TOL)
-    if bad.size:
-        p = bad[0]
-        raise ConsistencyError(
-            f"root {complex(z[pairs[p, 0]])!r} has no antipodal partner within {PAIRING_TOL:g} "
-            f"(closest at chordal distance {gaps[p]:.3g}); "
-            "the rank block does not satisfy the conjugation symmetry"
-        )
-
-
 def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     """Pair the 2k roots under Z -> -1/conj(Z) and return the k axes.
 
@@ -321,7 +309,14 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     points = _sphere_points(z)
     pairs = _antipodal_pairs(points)
     directions, gaps = _pair_vectors(points, pairs)
-    _check_pairing(z, pairs, gaps)
+    bad = np.flatnonzero(gaps > PAIRING_TOL)
+    if bad.size:
+        p = bad[0]
+        raise ConsistencyError(
+            f"root {complex(z[pairs[p, 0]])!r} has no antipodal partner within {PAIRING_TOL:g} "
+            f"(closest at chordal distance {gaps[p]:.3g}); "
+            "the rank block does not satisfy the conjugation symmetry"
+        )
     return _axis_list(*_sorted_axes(directions, np.zeros(k, dtype=int)))
 
 
@@ -418,10 +413,10 @@ def _zonal_pass(flat, coeffs, nonzero, bound, layout: _Layout) -> tuple[np.ndarr
 def _root_pass(flat, coeffs, bound, ranks: list, directions: np.ndarray, layout: _Layout) -> None:
     """Axes of the given ranks from the roots of their polynomials, into their rows of ``directions``.
 
-    Per rank: the companion solve and the pairing; over the table: the
-    points, the axes, their angles and the check that pairs left out of
-    every collapse are antipodal within ``PAIRING_TOL``; per rank where two
-    axes lie within 0.5 rad: ``_collapse``.
+    Per rank: the companion solve and the greedy pairing; over the table:
+    the points, the axes and their angles; per rank where two axes lie
+    within 0.5 rad: ``_collapse``.  No axis is judged here; ``extract_mar``
+    judges every rank by its final residual.
     """
     z = np.full(2 * len(directions), complex(math.inf))
     for k in ranks:
@@ -434,8 +429,7 @@ def _root_pass(flat, coeffs, bound, ranks: list, directions: np.ndarray, layout:
     chosen = np.zeros(len(layout.ranks) + 1, dtype=bool)
     chosen[ranks] = True
     rows = np.flatnonzero(chosen[layout.axis_rank])
-    gaps = np.zeros(len(directions))
-    units, gaps[rows] = _pair_vectors(points, pairs[rows])
+    units = _pair_vectors(points, pairs[rows])[0]
     directions[rows] = units / np.linalg.norm(units, axis=1)[:, None]
     a, b = layout.pairs.T
     angle = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", directions[a], directions[b])), 1.0))
@@ -443,7 +437,7 @@ def _root_pass(flat, coeffs, bound, ranks: list, directions: np.ndarray, layout:
     clustered[layout.axis_rank[a[angle < _CLUSTER_WINDOW]]] = True
     for k in np.flatnonzero(clustered & chosen).tolist():
         entries, axes, roots, axis_pairs = layout.entries(k), layout.axes(k), layout.roots(k), layout.axis_pairs(k)
-        collapsed = _collapse(
+        _collapse(
             flat[entries],
             coeffs[entries],
             float(bound[k - 1]),
@@ -454,12 +448,10 @@ def _root_pass(flat, coeffs, bound, ranks: list, directions: np.ndarray, layout:
             layout.pairs[axis_pairs] - axes.start,
             angle[axis_pairs],
         )
-        gaps[axes][collapsed] = 0.0
-    _check_pairing(z, pairs[rows], gaps[rows])
 
 
-def _collapse(block, coeffs, bound: float, z, points, pairs, units, axis_pairs, angle) -> np.ndarray:
-    """Collapse clusters of one rank's axes, the rows of ``units`` (changed in place); returns the collapsed rows.
+def _collapse(block, coeffs, bound: float, z, points, pairs, units, axis_pairs, angle) -> None:
+    """Collapse clusters of one rank's axes, the rows of ``units`` (changed in place).
 
     ``z`` are the rank's 2k roots, ``points`` their unit vectors, ``pairs``
     their pairs, and ``angle`` the angle of each pair of axes in
@@ -479,14 +471,11 @@ def _collapse(block, coeffs, bound: float, z, points, pairs, units, axis_pairs, 
     joins = np.array(joins)
     roots = _cluster_roots(z, points, pairs, joins)
     kept = _residual_floor(coeffs, roots) <= bound
-    collapsed = np.zeros(len(units), dtype=bool)
     for members, point in zip(joins[kept], _sphere_points(roots[kept])):
         trial = units.copy()
         trial[members] = point
         if fit_radius(block, _stretched(trial))[1] <= bound:
             units[members] = point
-            collapsed[members] = True
-    return collapsed
 
 
 def _stretched_rows(units: np.ndarray, counts) -> np.ndarray:
@@ -622,9 +611,13 @@ def extract_mar(t: TensorParams) -> MarDecomposition:
     of norm 1, so Bombieri's inequality [PQ]^2 >= m! n!/(m+n)! [P]^2 [Q]^2
     bounds it below by 2^k/(2k)!, 1.7e-181 at k = 60: above ``fit_radius``'s cutoff.
 
-    A rank is one k-fold axis, or a group of its axes collapses to one
-    axis, when the block still rebuilds within 1e-10 of its norm, or within
-    1e-14 of the table's norm if larger; see the module docstring.
+    Every nonzero rank is accepted by one rule: its axes rebuild the block
+    within its bound, 1e-10 of the block's 2-norm, or 1e-14 of the table's
+    norm if larger.  The whole rank as one k-fold axis, a group of its axes
+    collapsed to one axis, and the greedy pairing of its roots are only
+    candidates; see the module docstring.  The first rank over its bound
+    raises :class:`ConsistencyError` naming the rank, its residual and its
+    bound.
     """
     top = t.max_rank
     if top == 0:
@@ -641,12 +634,18 @@ def extract_mar(t: TensorParams) -> MarDecomposition:
     directions = np.repeat(zonal, layout.ranks, axis=0)
     _root_pass(flat, coeffs, bound, (np.flatnonzero(nonzero & ~single) + 1).tolist(), directions, layout)
 
-    # every axis of the table at once: canonical, sorted, and fitted
+    # every axis of the table at once: canonical, sorted, fitted, and judged
     theta, phi = _sorted_axes(directions, layout.axis_rank)
     padded = np.zeros((top, top, 3))
     padded[layout.axis_rank - 1, layout.axis_slot] = _unit_vectors(theta, phi)
     counts = np.where(nonzero, layout.ranks, 0)
     radii, residuals = _fit(flat, _stretched_table(padded, counts, layout), layout.starts, layout.k - 1)
+    over = np.flatnonzero(nonzero & ~(residuals <= bound))
+    if over.size:
+        i = over[0]
+        raise ConsistencyError(
+            f"rank {i + 1} axes rebuild the block with residual {residuals[i]:.3g}, over its bound {bound[i]:.3g}"
+        )
     axes = _axis_list(theta, phi)
     entries = []
     for k, count, r, residual in zip(layout.ranks.tolist(), counts.tolist(), radii.tolist(), residuals.tolist()):

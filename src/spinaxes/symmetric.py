@@ -48,7 +48,7 @@ class BlochVector:
     @classmethod
     def from_cartesian(cls, x: float, y: float, z: float) -> "BlochVector":
         # atan2 keeps the polar angle near the poles, where acos(z / r) would lose it
-        (x, y, z), _ = _scaled_direction((x, y, z))
+        x, y, z = _scaled_direction(np.array([(x, y, z)], dtype=float))[0][0]
         return cls(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
     @property
