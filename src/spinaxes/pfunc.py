@@ -14,9 +14,20 @@ parameters directly:
 
 with the rank-dependent scale c_k(j) = sqrt(4 pi) <j j, k 0|j j>, read from
 its closed form sqrt(4 pi) N! sqrt(N+1) / sqrt((N-k)! (N+k+1)!), N = 2j, as
-an exact factorial ratio under one float square root.  The two routes
-agree exactly for band-limited lambda on a large enough grid, which the
-tests exploit as mutual oracles.
+an exact factorial ratio under one float square root.  For an expansion
+lambda = sum a^l_m conj(Y^l_m) the second integral is the paper's identity
+t^k_q = c_k a^k_q: ``t_from_distribution`` reads it from the coefficients
+(zero above the expansion's degree), while ``rho_from_distribution``
+integrates by quadrature, so the two routes stay mutual oracles.  With an
+explicit grid, or for a callable lambda, both routes are quadratures on
+that grid.
+
+Without an explicit grid an expansion of degree L is checked once, for
+normalization, reality and sign, on the grid of band 2L (exact through
+degree 4L + 2), whatever j: the minimum a warning reports depends on
+lambda alone.  The state's integrand has degree b = L + 2j; it is summed
+on that same grid when it is exact for b, else on the smallest exact
+product grid, floor(b/2) + 1 rings of b + 1 points.
 
 The grid is a product of theta rings and uniform phi, and an amplitude
 factors as b_a(theta) e^{-i m_a phi} with b real, so the state is summed
@@ -32,11 +43,13 @@ at arbitrary points: the Legendre table on the distinct theta nodes
 contracts with the coefficients to one value per node and order m, and
 the phases e^{-i m phi} finish every point.
 
-Default grids (``QuadratureGrid.for_band_limit``, ``default_grid``) are
-built once per band limit, in a bounded cache, and shared: a grid is
-frozen and its arrays are read-only.  The Legendre table the
-distribution routes contract with is cached the same way, per grid and
-degree.
+Default grids (``QuadratureGrid.for_band_limit``, ``default_grid``, the
+smallest exact grids) are built once per band limit, in a bounded cache,
+and shared: a grid is frozen and its arrays are read-only.  A grid's
+Legendre table is cached the same way, per grid and degree, for the
+quadrature of t^k_q and for lambda's values on the grid (when the table
+fits in one block); the quadrature reads it through real products, never
+copying it to complex.
 
 Weight functions are represented either as callables of (theta, phi) or as
 :class:`SphericalExpansion` coefficient tables over conj(Y^l_m).
@@ -58,6 +71,7 @@ from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt
 from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
 from .tensors import _checked_blocks, _entry_blocks, _half_blocks  # the shared rank-table layout
+from .tensors import _real_product
 
 NORMALIZATION_TOL = 1e-8
 REALITY_TOL = 1e-10
@@ -164,7 +178,10 @@ class QuadratureGrid:
 
         Its band_limit + 2 rings of 2 band_limit + 3 points integrate every
         Y^D_m to rounding through D = 2 band_limit + 2, about twice the
-        degree asked for, so it is not the smallest such grid.  Built once per band limit and shared: the grid is frozen and its
+        degree asked for, so it is not the smallest such grid.  At band 2L
+        it is the sign probe of a degree-L expansion.
+
+        Built once per band limit and shared: the grid is frozen and its
         arrays are read-only.  The cache is bounded, so a stream of large
         band limits cannot pin their grids.
         """
@@ -259,9 +276,12 @@ class SphericalExpansion:
         return total[()] if total.ndim == 0 else total
 
 
-def _ring_orders(lam: SphericalExpansion, theta: np.ndarray) -> np.ndarray:
+def _ring_orders(lam: SphericalExpansion, theta: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """Per-node, per-order values R of shape (len(theta), 2 l_max + 1) such that
     lambda(theta_i, phi) = sum_m R[i, m + l_max] e^{-i m phi}, at any phi.
+
+    ``table`` is theta's Legendre table when the caller holds it (a grid's
+    cached one); otherwise it is built in blocks of nodes.
     """
     big = lam.l_max
     coeffs = np.zeros((big + 1, 2 * big + 1), dtype=complex)  # [l, m + l_max]
@@ -271,11 +291,11 @@ def _ring_orders(lam: SphericalExpansion, theta: np.ndarray) -> np.ndarray:
     coeffs[:, :big] *= (-1.0) ** np.arange(-big, 0)
     rings = np.empty((len(theta), 2 * big + 1), dtype=complex)
     # blocks of nodes keep the Legendre table near _TABLE_ENTRIES values
-    step = max(1, _TABLE_ENTRIES // (big + 1) ** 2)
+    step = len(theta) if table is not None else max(1, _TABLE_ENTRIES // (big + 1) ** 2)
     for lo in range(0, len(theta), step):
-        table = _legendre_table(big, theta[lo : lo + step])
-        rings[lo : lo + step, big:] = np.einsum("lm,lmi->im", coeffs[:, big:], table)
-        rings[lo : lo + step, :big] = np.einsum("lm,lmi->im", coeffs[:, big - 1 :: -1], table[:, 1:])[:, ::-1]
+        block = table if table is not None else _legendre_table(big, theta[lo : lo + step])
+        rings[lo : lo + step, big:] = np.einsum("lm,lmi->im", coeffs[:, big:], block)
+        rings[lo : lo + step, :big] = np.einsum("lm,lmi->im", coeffs[:, big - 1 :: -1], block[:, 1:])[:, ::-1]
     return rings
 
 
@@ -284,7 +304,10 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     if isinstance(lam, SphericalExpansion):
         # phases at the phi nodes: a grid too coarse in phi aliases as node by node
         orders = np.arange(-lam.l_max, lam.l_max + 1)
-        vals = _ring_orders(lam, grid.theta) @ np.exp(-1j * np.outer(orders, grid.phi))
+        # a grid's table is cached when it fits in one block
+        fits = grid.n_theta * (lam.l_max + 1) ** 2 <= _TABLE_ENTRIES
+        table = _grid_legendre_table(grid, lam.l_max) if fits else None
+        vals = _ring_orders(lam, grid.theta, table) @ np.exp(-1j * np.outer(orders, grid.phi))
     elif callable(lam):
         th, ph = grid.mesh()
         vals = np.asarray(lam(th, ph), dtype=complex)
@@ -313,27 +336,62 @@ def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> tuple:
     """Blocks of sum_nodes w Y^l_m for l = 0 .. l_max, m ascending, from real node weights w.
 
     The sum over phi is one product with e^{i m phi}, the sum over theta one
-    contraction with the grid's cached Legendre table; a real w needs only
-    m >= 0, and the conjugation identity supplies the rest.
+    product per order with the grid's cached Legendre table, both real
+    tables times complex operands; a real w needs only m >= 0, and the
+    conjugation identity supplies the rest.
     """
     m = np.arange(l_max + 1)
-    per_m = w @ np.exp(1j * np.outer(grid.phi, m))  # (n_theta, m)
-    return _half_blocks(np.einsum("lmi,im->lm", _grid_legendre_table(grid, l_max), per_m))
+    per_m = _real_product(w, np.exp(1j * np.outer(grid.phi, m)))  # (n_theta, m)
+    table = _grid_legendre_table(grid, l_max).transpose(1, 0, 2)  # [m, l, i]
+    return _half_blocks(_real_product(table, per_m.T[:, :, None])[:, :, 0].T)
 
 
 def default_grid(l_max: int, j) -> QuadratureGrid:
-    """Grid exact for products of a degree-l_max weight with rank <= 2j harmonics."""
+    """Grid exact for products of a degree-l_max weight with rank <= 2j harmonics.
+
+    It is ``QuadratureGrid.for_band_limit(l_max + 2j)``, about twice as fine
+    as exactness needs: the grid the ``pfunc`` command passes for band
+    ``--lmax``, whose nodes also probe the weight's sign.  Without an
+    explicit grid the library routes use smaller ones (see the module
+    docstring).
+    """
     _check_l_max(l_max)
     return QuadratureGrid.for_band_limit(l_max + _spin(j).doubled)
 
 
+@lru_cache(maxsize=32)
+def _exact_grid(band_limit: int) -> QuadratureGrid:
+    """The smallest product grid exact through the given degree b, built once per b.
+
+    Its floor(b/2) + 1 Gauss-Legendre rings are exact in cos(theta) through
+    degree 2 floor(b/2) + 1 >= b, and its b + 1 phi points sum e^{i m phi}
+    exactly for |m| <= b.  The cache is bounded like ``for_band_limit``'s.
+    """
+    return QuadratureGrid.build(band_limit // 2 + 1, band_limit + 1)
+
+
+def _state_grid(l_max: int, dj: int) -> QuadratureGrid:
+    """The grid ``rho_from_distribution`` sums a degree-l_max expansion on when given none.
+
+    Its integrand has degree at most b = l_max + 2j: the sign probe's grid
+    when that is exact for b (b <= 4 l_max + 2), so lambda is evaluated
+    once, else the smallest exact grid for b.
+    """
+    band = l_max + dj
+    return QuadratureGrid.for_band_limit(2 * l_max) if band <= 4 * l_max + 2 else _exact_grid(band)
+
+
 def _distribution_weights(lam, j, grid: QuadratureGrid | None) -> tuple[HalfInt, QuadratureGrid, np.ndarray]:
-    """(j, grid, node weights times lambda / its integral): both routes' checked preamble."""
+    """(j, grid, node weights times lambda / its integral): both routes' checked preamble.
+
+    With no grid, an expansion is probed on the grid of band 2 l_max, set by
+    its degree alone, so the minimum it reports does not depend on j.
+    """
     j = _spin(j)
     if grid is None:
         if not isinstance(lam, SphericalExpansion):
             raise DomainError("a quadrature grid is required for callable weight functions")
-        grid = default_grid(lam.l_max, j)
+        grid = QuadratureGrid.for_band_limit(2 * lam.l_max)
     vals = _values_on_grid(lam, grid)
     w = grid.weights() * vals
     total = float(np.sum(w))
@@ -353,12 +411,25 @@ def t_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> TensorPar
     """Tensor parameters t^k_q = c_k integral lambda Y^k_q dOmega.
 
     ``lam`` is a SphericalExpansion or a callable of (theta, phi) arrays.
-    When no grid is given, one sized for the expansion's band limit is
-    used; callables have no known band limit and require an explicit grid.
+    With an explicit grid the integral is the grid's quadrature.  Without
+    one, an expansion gives the integral's exact value, its own coefficients
+    t^k_q = c_k a^k_q / (sqrt(4 pi) a^0_0) through degree min(l_max, 2j) and
+    zero above, after the checks of normalization, reality and sign on the
+    grid of band 2 l_max; callables have no known band limit and require an
+    explicit grid.
     """
+    closed = grid is None
     j, grid, w = _distribution_weights(lam, j, grid)
-    scales = _multipole_scales(j.doubled)
-    blocks = [c * a for c, a in zip(scales, _analysis(w, grid, j.doubled))]
+    dj = j.doubled
+    scales = _multipole_scales(dj)
+    if closed:
+        half = np.zeros((dj + 1, dj + 1), dtype=complex)  # half[k, q] = a^k_q, 0 <= q <= k
+        for k in range(min(lam.l_max, dj) + 1):
+            half[k, : k + 1] = lam.blocks[k][k:]
+        half[:, 0] = half[:, 0].real  # the conjugation identity holds exactly
+        blocks = _half_blocks(half * (scales / lam.norm_integral)[:, None])
+    else:
+        blocks = [c * a for c, a in zip(scales, _analysis(w, grid, dj))]
     blocks[0][0] = 1.0
     return TensorParams(j, tuple(blocks))
 
@@ -369,14 +440,20 @@ def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDen
     Summed one theta ring at a time (see the module docstring): one product
     gives every ring's phi sums F_i(p) for p = -2j .. 2j, the real ring
     amplitudes b_a(theta_i) are built once per ring, and one contraction over
-    the rings gives rho.
+    the rings gives rho.  Without an explicit grid, an expansion is checked
+    on the grid of band 2 l_max, as in ``t_from_distribution``, and summed on
+    that grid if it is exact for the integrand's degree l_max + 2j, else on
+    the smallest grid that is.
     """
+    own = grid is None
     j, grid, w = _distribution_weights(lam, j, grid)
     dj = j.doubled
+    if own and (state := _state_grid(lam.l_max, dj)) is not grid:
+        grid, w = state, state.weights() * _values_on_grid(lam, state)  # the trace below normalizes
     # amplitude a at (theta, phi) is b[theta, a] e^{-i m_a phi} with m_a = j - a
     b = _coherent_amplitudes(dj, grid.theta, np.zeros_like(grid.theta)).real  # (n_theta, dim)
     # ring sums f[i, c - a + 2j] = sum_phi w(theta_i, phi) e^{-i (c - a) phi}
-    f = w @ np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1)))
+    f = _real_product(w, np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1))))
     idx = np.arange(dj + 1)
     rho = np.einsum("ia,ic,iac->ac", b, b, f[:, idx - idx[:, None] + dj])
     rho = 0.5 * (rho + rho.conj().T)

@@ -18,8 +18,12 @@ Lanczos recursion in m with full reorthogonalization.  They agree with the
 exact Clebsch-Gordan values to about 6e-15 at 2j = 60.  One cached,
 zero-padded stack per j, S[p, k, c] for the order -p, holds every
 nonzero diagonal; ``tau_operator``, ``rho_to_t`` and ``t_to_rho`` all read
-it, the conversions as one contraction of S with the diagonals of rho or
-with the rank blocks.
+it, the conversions as one stacked real product of S, one order at a time,
+with the diagonals of rho or with the rank blocks.  These products of a
+real table with a complex operand, like those with the quarter turns below
+and pfunc's quadrature of t^k_q, go through ``_real_product``, which reads
+the complex operand as pairs of floats instead of copying the real table to
+complex.
 
 ``rotate_t`` applies the same active rotation to the parameters that
 U(phi, theta, psi) applies to the state, so that
@@ -127,6 +131,19 @@ def _half_blocks(half: np.ndarray) -> tuple:
     k, q, _, sign = _rank_layout(len(half) - 1)
     kept = half[k, np.abs(q)]
     return _split(np.where(q < 0, kept.conj() * sign, kept))
+
+
+def _real_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a real matrix or stack of matrices m and a complex vector or matrix (or stack) v.
+
+    v is read as interleaved floats, each complex column two real ones, so
+    the real table is never copied to complex; only a v whose rows are not
+    contiguous is copied first.
+    """
+    v = np.ascontiguousarray(v)
+    if v.ndim == 1:
+        return (m @ v.view(float).reshape(-1, 2)).view(complex)[..., 0]
+    return (m @ v.view(float)).view(complex)
 
 
 def _spin(j) -> HalfInt:
@@ -307,7 +324,7 @@ def rho_to_t(rho: SpinDensityMatrix) -> TensorParams:
     # the p-th diagonal meet zeros of the stack.
     h = 0.5 * (rho.matrix + rho.matrix.conj().T)
     d = h[c, np.minimum(c + c[:, None], dj)]
-    low = np.einsum("pkc,pc->kp", _order_stack(dj), d)  # low[k, p] = t^k_{-p}
+    low = _real_product(_order_stack(dj), d[:, :, None])[:, :, 0].T  # low[k, p] = t^k_{-p}
     half = (-1.0) ** c * low.conj()  # half[k, q] = t^k_q = (-1)^q conj(t^k_{-q})
     half[:, 0] = low[:, 0]
     blocks = _half_blocks(half)
@@ -329,7 +346,8 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
         up[k, : k + 1] = block[k:]
     # tau^k_p^dag = (-1)^p tau^k_-p fills the p-th lower diagonal; Hermiticity
     # gives the upper ones, and halving p = 0 keeps the diagonal counted once.
-    lower = np.einsum("pkc,kp->pc", _order_stack(dim - 1), up) * ((-1.0) ** c / dim)[:, None]
+    lower = _real_product(_order_stack(dim - 1).transpose(0, 2, 1), up.T[:, :, None])[:, :, 0]
+    lower *= ((-1.0) ** c / dim)[:, None]
     lower[0] *= 0.5
     acc = np.zeros((2 * dim - 1, dim), dtype=complex)  # rows past 2j take the stack's padding
     acc[c + c[:, None], c] = lower
@@ -362,11 +380,6 @@ def _quarter_turns(k_max: int) -> tuple:
             d.setflags(write=False)
         _QUARTER_TURNS = tables
     return tables
-
-
-def _real_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for a real matrix and a contiguous complex vector, without a complex copy of m."""
-    return (m @ v.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
 def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorParams:

@@ -28,7 +28,7 @@ from spinaxes import (
     wigner_D_matrix,
     ylm_squared_t,
 )
-from spinaxes.pfunc import _grid_legendre_table, _legendre_table, _values_on_grid
+from spinaxes.pfunc import _grid_legendre_table, _legendre_table, _state_grid, _values_on_grid
 from spinaxes.symmetric import BlochVector
 from spinaxes.tensors import _conjugation_mirror
 
@@ -554,6 +554,98 @@ class TestDistributionRoutes:
         t = t_from_distribution(lambda th, ph: np.ones_like(th) / (4 * math.pi), h(2), grid)
         for k in range(1, 3):
             assert abs(t.rank(k)).max() < 1e-13
+
+
+class TestExpansionWithoutGrid:
+    """An expansion with no grid: t read from its coefficients, checked on the
+    grid of band 2 l_max, and rho summed on the smallest exact grid."""
+
+    @staticmethod
+    def _positive(seed, l_max):
+        return TestDistributionRoutes()._random_classical(np.random.default_rng(seed), l_max)
+
+    # the fixture is positive on the nodes of band 40; at degree 20 the finer
+    # grids of default_grid find it slightly negative between them
+    @pytest.mark.filterwarnings("ignore::spinaxes.NonClassicalWarning")
+    @pytest.mark.parametrize("l_max", [0, 2, 4, 20])
+    @pytest.mark.parametrize("dj", [1, 4, 24, 40, 60])
+    def test_closed_form_matches_quadrature(self, l_max, dj):
+        lam = self._positive(300 + 61 * l_max + dj, l_max)
+        t = t_from_distribution(lam, h(dj))
+        assert t.max_abs_diff(t_from_distribution(lam, h(dj), default_grid(l_max, h(dj)))) <= 1e-13
+        for k, block in enumerate(t.ranks):
+            np.testing.assert_array_equal(block, _conjugation_mirror(block))
+            if k > l_max:
+                assert not block.any()
+
+    @pytest.mark.parametrize("dj", [4, 40])
+    def test_identity_is_exact_for_coefficients_that_obey_it_within_tolerance(self, dj):
+        rng = np.random.default_rng(400 + dj)
+        noise = [0.28e-12 * (rng.uniform(-1, 1, 2 * l + 1) + 1j * rng.uniform(-1, 1, 2 * l + 1)) for l in range(5)]
+        lam = SphericalExpansion(4, tuple(b + e for b, e in zip(self._positive(dj, 4).blocks, noise)))
+        for block in t_from_distribution(lam, h(dj)).ranks:
+            np.testing.assert_array_equal(block, _conjugation_mirror(block))
+
+    @pytest.mark.parametrize("dj", [1, 4, 60])
+    def test_uniform_has_exactly_zero_ranks(self, dj):
+        t = t_from_distribution(SphericalExpansion.uniform(), h(dj))
+        assert t.item(0, 0) == 1.0
+        assert not any(block.any() for block in t.ranks[1:])
+
+    def test_normalization_and_reality_are_checked(self):
+        with pytest.raises(ValidationError, match="integrates"):
+            t_from_distribution(SphericalExpansion.from_table(2, {(0, 0): 0.5, (2, 1): 0.1, (2, -1): -0.1}), h(3))
+        # i b with b real and obeying the identity breaks it by 2|b| <= 1e-12, under the
+        # constructor's tolerance, yet its values at one probe node sum to 4e-10 imaginary
+        probe = QuadratureGrid.for_band_limit(120)
+        sign = np.sign(_legendre_table(60, probe.theta[40:41])[:, :, 0])
+        blocks = [0.49e-12j * np.concatenate([sign[l, l:0:-1] * (-1.0) ** np.arange(l, 0, -1), sign[l, : l + 1]])
+                  for l in range(61)]
+        blocks[0] = blocks[0] + 1.0 / math.sqrt(4.0 * math.pi)
+        lam = SphericalExpansion(60, tuple(blocks))
+        for route in (t_from_distribution, rho_from_distribution):
+            with pytest.raises(ValidationError, match="complex values"):
+                route(lam, h(2))
+
+    def test_reported_minimum_does_not_depend_on_spin(self):
+        # 1/sqrt(4 pi) + 0.6 Y^4_0 dips below zero; the probe's grid is set by degree 4 alone
+        lam = SphericalExpansion.from_table(4, {(0, 0): 1.0 / math.sqrt(4.0 * math.pi), (4, 0): 0.6})
+        texts = set()
+        for dj in (1, 2, 24, 60):
+            for route in (t_from_distribution, rho_from_distribution):
+                with pytest.warns(NonClassicalWarning) as caught:
+                    route(lam, h(dj))
+                assert [w.filename for w in caught] == [__file__]
+                texts.update(str(w.message) for w in caught)
+        low = _values_on_grid(lam, QuadratureGrid.for_band_limit(8)).min()
+        assert texts == {
+            f"weight function is negative on the grid (min {low:.6g}), "
+            "so it is a quasi-probability, not a probability density"
+        }
+
+    @pytest.mark.parametrize(
+        "l_max, dj, probe",
+        [(0, 2, True), (4, 1, True), (4, 14, True), (20, 60, True), (0, 3, False), (4, 15, False), (4, 60, False)],
+    )
+    def test_state_grid_is_exact_for_its_band(self, l_max, dj, probe):
+        band = l_max + dj
+        grid = _state_grid(l_max, dj)
+        assert (grid is QuadratureGrid.for_band_limit(2 * l_max)) is probe
+        if not probe:
+            assert (grid.n_theta, grid.n_phi) == (band // 2 + 1, band + 1)
+            assert _state_grid(l_max, dj) is grid
+        # integral Y^D_m = sqrt(4 pi) delta_D0, for every D <= band and m >= 0 (m < 0 by conjugation)
+        rings = _legendre_table(band, grid.theta) @ grid.theta_weights
+        turns = np.exp(1j * np.outer(np.arange(band + 1), grid.phi)).sum(axis=1) * (2 * math.pi / grid.n_phi)
+        want = np.zeros((band + 1, band + 1))
+        want[0, 0] = math.sqrt(4.0 * math.pi)
+        assert np.abs(rings * turns - want).max() < 1e-13
+
+    @pytest.mark.parametrize("l_max, dj", [(4, 1), (4, 14), (4, 15), (4, 40), (2, 60), (20, 24)])
+    def test_rho_is_the_node_sum_on_its_grid(self, l_max, dj):
+        lam = self._positive(500 + dj, l_max)
+        rho = rho_from_distribution(lam, h(dj)).matrix
+        assert np.abs(rho - TestDistributionRoutes._by_nodes(lam, dj, _state_grid(l_max, dj))).max() < 1e-14
 
 
 def _delta_like(direction, l_max):

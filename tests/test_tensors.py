@@ -19,7 +19,7 @@ from spinaxes import (
     t_to_rho,
     tau_operator,
 )
-from spinaxes.tensors import _conjugation_mirror, _order_stack, _quarter_turns
+from spinaxes.tensors import _conjugation_mirror, _order_stack, _quarter_turns, _real_product
 
 from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
 
@@ -422,3 +422,40 @@ class TestRotation:
             assert d.shape == (2 * k + 1, 2 * k + 1)
             with pytest.raises(ValueError):
                 d[0, 0] = 2.0
+
+
+class TestRealProduct:
+    """The one real-table times complex-operand product, against the complex products it replaces."""
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dj", [0, 60])
+    def test_matches_complex_products(self, dj):
+        rng = np.random.default_rng(900 + dj)
+        dim = dj + 1
+        m = rng.normal(size=(dim, dim))
+        v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        stack = _order_stack(dj)
+        self._close(_real_product(m, v[0]), m.astype(complex) @ v[0])
+        self._close(_real_product(m, v[:, 0]), m.astype(complex) @ v[:, 0])  # a strided vector
+        self._close(_real_product(m, v), m.astype(complex) @ v)
+        self._close(_real_product(m, v.T), m.astype(complex) @ v.T)  # a transposed view
+        # the stacks of rho_to_t and t_to_rho, the latter on up.T
+        self._close(_real_product(stack, v[:, :, None])[:, :, 0].T, np.einsum("pkc,pc->kp", stack, v))
+        self._close(
+            _real_product(stack.transpose(0, 2, 1), v.T[:, :, None])[:, :, 0], np.einsum("pkc,kp->pc", stack, v)
+        )
+
+    @pytest.mark.parametrize("dj", [40, 60])
+    def test_conversions_at_high_spin(self, dj):
+        rng = np.random.default_rng(950 + dj)
+        rho = SpinDensityMatrix(h(dj), random_density(rng, dj + 1))
+        t = rho_to_t(rho)
+        for k in range(0, dj + 1, 7):
+            for q in range(-k, k + 1):
+                assert abs(t.item(k, q) - np.trace(rho.matrix @ tau_operator(h(dj), k, q))) < 1e-13
+        np.testing.assert_allclose(t_to_rho(t).matrix, rho.matrix, atol=1e-13)
+        assert t.max_abs_diff(rho_to_t(t_to_rho(t))) < 1e-13
