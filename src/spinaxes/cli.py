@@ -36,9 +36,8 @@ from .halfint import HalfInt
 from .pfunc import (
     NEGATIVITY_FLOOR,
     SphericalExpansion,
-    _values_on_grid,
+    _tensor_and_minimum,
     default_grid,
-    t_from_distribution,
     ylm_squared_t,
 )
 from .symmetric import BlochVector, SeparableEnsemble, ensemble_to_rho, qubit_density, symmetric_subspace_unitary
@@ -249,9 +248,8 @@ def cmd_pfunc(args) -> int:
         grid = default_grid(band, j)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            t = t_from_distribution(lam, j, grid)
-        # the grid values t_from_distribution checked, evaluated ring by ring
-        min_value = float(_values_on_grid(lam, grid).min())
+            # the minimum of the grid values t_from_distribution checked
+            t, min_value = _tensor_and_minimum(lam, j, grid)
         flags.extend(str(w.message) for w in caught)
     mar, collinear = _decompose(t, args)
     if args.json:

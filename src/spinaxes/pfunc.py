@@ -49,7 +49,10 @@ and shared: a grid is frozen and its arrays are read-only.  A grid's
 Legendre table is cached the same way, per grid and degree, for the
 quadrature of t^k_q and for lambda's values on the grid (when the table
 fits in one block); the quadrature reads it through real products, never
-copying it to complex.
+copying it to complex.  So are the ring tables of the state's sum, the
+real amplitudes b_a(theta_i) and the phases e^{-i p phi}, per grid and
+spin, and lambda's phases e^{-i m phi} at the phi nodes, per grid and
+degree: after the first call on a grid, neither route builds a table.
 
 Weight functions are represented either as callables of (theta, phi) or as
 :class:`SphericalExpansion` coefficient tables over conj(Y^l_m).
@@ -70,8 +73,8 @@ from .angular import MAX_DEGREE
 from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt
 from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
-from .tensors import _checked_blocks, _entry_blocks, _half_blocks  # the shared rank-table layout
-from .tensors import _real_product
+# the shared rank-table layout
+from .tensors import _checked_blocks, _entry_flat, _from_half, _half_table, _rank_layout, _real_product, _split
 
 NORMALIZATION_TOL = 1e-8
 REALITY_TOL = 1e-10
@@ -229,13 +232,14 @@ class SphericalExpansion:
         _check_l_max(self.l_max)
         if len(self.blocks) != self.l_max + 1:
             raise ValidationError(f"expected blocks for l = 0 .. {self.l_max}")
-        blocks = _checked_blocks(self.blocks, "degree", "the reality condition conj(a^l_m) = (-1)^m a^l_-m")
-        object.__setattr__(self, "blocks", blocks)
+        flat = _checked_blocks(self.blocks, "degree", "the reality condition conj(a^l_m) = (-1)^m a^l_-m")
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "blocks", _split(flat))
 
     @classmethod
     def from_table(cls, l_max: int, table: Mapping) -> "SphericalExpansion":
         _check_l_max(l_max)
-        return cls(l_max, _entry_blocks(l_max, table, "degree", "m"))
+        return cls(l_max, _split(_entry_flat(l_max, table, "degree", "m")))
 
     @classmethod
     def uniform(cls) -> "SphericalExpansion":
@@ -284,9 +288,9 @@ def _ring_orders(lam: SphericalExpansion, theta: np.ndarray, table: np.ndarray |
     cached one); otherwise it is built in blocks of nodes.
     """
     big = lam.l_max
+    l, m, _, _ = _rank_layout(big)
     coeffs = np.zeros((big + 1, 2 * big + 1), dtype=complex)  # [l, m + l_max]
-    for l, b in enumerate(lam.blocks):
-        coeffs[l, big - l : big + l + 1] = b
+    coeffs[l, m + big] = lam._flat
     # conj(Y^l_m) = Y^l_|m|(theta, 0) e^{-i m phi}, times (-1)^m for m < 0
     coeffs[:, :big] *= (-1.0) ** np.arange(-big, 0)
     rings = np.empty((len(theta), 2 * big + 1), dtype=complex)
@@ -302,12 +306,10 @@ def _ring_orders(lam: SphericalExpansion, theta: np.ndarray, table: np.ndarray |
 def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     """Evaluate a weight function on the grid and check it is real."""
     if isinstance(lam, SphericalExpansion):
-        # phases at the phi nodes: a grid too coarse in phi aliases as node by node
-        orders = np.arange(-lam.l_max, lam.l_max + 1)
         # a grid's table is cached when it fits in one block
         fits = grid.n_theta * (lam.l_max + 1) ** 2 <= _TABLE_ENTRIES
         table = _grid_legendre_table(grid, lam.l_max) if fits else None
-        vals = _ring_orders(lam, grid.theta, table) @ np.exp(-1j * np.outer(orders, grid.phi))
+        vals = _ring_orders(lam, grid.theta, table) @ _grid_phases(grid, lam.l_max)
     elif callable(lam):
         th, ph = grid.mesh()
         vals = np.asarray(lam(th, ph), dtype=complex)
@@ -332,8 +334,35 @@ def _grid_legendre_table(grid: QuadratureGrid, l_max: int) -> np.ndarray:
     return table
 
 
-def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> tuple:
-    """Blocks of sum_nodes w Y^l_m for l = 0 .. l_max, m ascending, from real node weights w.
+@lru_cache(maxsize=32)
+def _grid_phases(grid: QuadratureGrid, l_max: int) -> np.ndarray:
+    """Read-only e^{-i m phi} at a grid's phi nodes, [m + l_max, node] for |m| <= l_max.
+
+    The phases of lambda's values on the grid, built once per (grid, l_max):
+    a grid too coarse in phi aliases exactly as node by node.  Bounded like
+    ``_grid_legendre_table``.
+    """
+    phases = np.exp(-1j * np.outer(np.arange(-l_max, l_max + 1), grid.phi))
+    phases.setflags(write=False)
+    return phases
+
+
+@lru_cache(maxsize=32)
+def _ring_tables(grid: QuadratureGrid, dj: int) -> tuple:
+    """Read-only (b, e) of spin dj/2 on a grid, built once per (grid, 2j): the real ring amplitudes
+    b[i, a] of the coherent state at theta_i, phi = 0, and e[node, p + 2j] = e^{-i p phi} for |p| <= 2j.
+
+    ``rho_from_distribution`` sums with them; bounded like ``_grid_legendre_table``.
+    """
+    b = np.ascontiguousarray(_coherent_amplitudes(dj, grid.theta, np.zeros_like(grid.theta)).real)
+    e = np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1)))
+    for a in (b, e):
+        a.setflags(write=False)
+    return b, e
+
+
+def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> np.ndarray:
+    """Flat layout of sum_nodes w Y^l_m for l = 0 .. l_max, m ascending, from real node weights w.
 
     The sum over phi is one product with e^{i m phi}, the sum over theta one
     product per order with the grid's cached Legendre table, both real
@@ -343,7 +372,7 @@ def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> tuple:
     m = np.arange(l_max + 1)
     per_m = _real_product(w, np.exp(1j * np.outer(grid.phi, m)))  # (n_theta, m)
     table = _grid_legendre_table(grid, l_max).transpose(1, 0, 2)  # [m, l, i]
-    return _half_blocks(_real_product(table, per_m.T[:, :, None])[:, :, 0].T)
+    return _from_half(_real_product(table, per_m.T[:, :, None])[:, :, 0].T)
 
 
 def default_grid(l_max: int, j) -> QuadratureGrid:
@@ -381,8 +410,11 @@ def _state_grid(l_max: int, dj: int) -> QuadratureGrid:
     return QuadratureGrid.for_band_limit(2 * l_max) if band <= 4 * l_max + 2 else _exact_grid(band)
 
 
-def _distribution_weights(lam, j, grid: QuadratureGrid | None) -> tuple[HalfInt, QuadratureGrid, np.ndarray]:
-    """(j, grid, node weights times lambda / its integral): both routes' checked preamble.
+def _distribution_weights(
+    lam, j, grid: QuadratureGrid | None, stacklevel: int = 3
+) -> tuple[HalfInt, QuadratureGrid, np.ndarray, float]:
+    """(j, grid, node weights times lambda / its integral, lambda's minimum on the nodes): both
+    routes' checked preamble, warning ``stacklevel`` frames up, at the public route's caller.
 
     With no grid, an expansion is probed on the grid of band 2 l_max, set by
     its degree alone, so the minimum it reports does not depend on j.
@@ -397,14 +429,15 @@ def _distribution_weights(lam, j, grid: QuadratureGrid | None) -> tuple[HalfInt,
     total = float(np.sum(w))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(f"weight function integrates to {total:.9g}, expected 1 within 1e-8")
-    if vals.min() < NEGATIVITY_FLOOR:
+    low = float(vals.min())
+    if low < NEGATIVITY_FLOOR:
         warnings.warn(
-            f"weight function is negative on the grid (min {vals.min():.6g}), "
+            f"weight function is negative on the grid (min {low:.6g}), "
             "so it is a quasi-probability, not a probability density",
             NonClassicalWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    return j, grid, w / total
+    return j, grid, w / total, low
 
 
 def t_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> TensorParams:
@@ -418,42 +451,47 @@ def t_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> TensorPar
     grid of band 2 l_max; callables have no known band limit and require an
     explicit grid.
     """
+    return _tensor_and_minimum(lam, j, grid)[0]
+
+
+def _tensor_and_minimum(lam, j, grid: QuadratureGrid | None) -> tuple[TensorParams, float]:
+    """``t_from_distribution``'s table and lambda's minimum on the nodes it was checked on, from one
+    evaluation of lambda; its warnings name the caller of ``t_from_distribution``."""
     closed = grid is None
-    j, grid, w = _distribution_weights(lam, j, grid)
+    j, grid, w, low = _distribution_weights(lam, j, grid, stacklevel=4)
     dj = j.doubled
     scales = _multipole_scales(dj)
     if closed:
-        half = np.zeros((dj + 1, dj + 1), dtype=complex)  # half[k, q] = a^k_q, 0 <= q <= k
-        for k in range(min(lam.l_max, dj) + 1):
-            half[k, : k + 1] = lam.blocks[k][k:]
+        n = min(lam.l_max, dj) + 1
+        half = _half_table(lam._flat[: n * n], dj + 1)  # half[k, q] = a^k_q, 0 <= q <= k
         half[:, 0] = half[:, 0].real  # the conjugation identity holds exactly
-        blocks = _half_blocks(half * (scales / lam.norm_integral)[:, None])
+        flat = _from_half(half * (scales / lam.norm_integral)[:, None])
     else:
-        blocks = [c * a for c, a in zip(scales, _analysis(w, grid, dj))]
-    blocks[0][0] = 1.0
-    return TensorParams(j, tuple(blocks))
+        flat = _analysis(w, grid, dj) * scales[_rank_layout(dj)[0]]
+    flat[0] = 1.0
+    return TensorParams._from_flat(j, flat), low
 
 
 def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDensityMatrix:
     """The state integral lambda(Omega) |alpha(Omega)><alpha(Omega)| dOmega.
 
     Summed one theta ring at a time (see the module docstring): one product
-    gives every ring's phi sums F_i(p) for p = -2j .. 2j, the real ring
-    amplitudes b_a(theta_i) are built once per ring, and one contraction over
-    the rings gives rho.  Without an explicit grid, an expansion is checked
-    on the grid of band 2 l_max, as in ``t_from_distribution``, and summed on
-    that grid if it is exact for the integrand's degree l_max + 2j, else on
-    the smallest grid that is.
+    with the grid's cached phase table gives every ring's phi sums F_i(p)
+    for p = -2j .. 2j, and one contraction of them with the cached real
+    ring amplitudes b_a(theta_i) gives rho.  Without an explicit grid, an
+    expansion is checked on the grid of band 2 l_max, as in
+    ``t_from_distribution``, and summed on that grid if it is exact for the
+    integrand's degree l_max + 2j, else on the smallest grid that is.
     """
     own = grid is None
-    j, grid, w = _distribution_weights(lam, j, grid)
+    j, grid, w, _ = _distribution_weights(lam, j, grid)
     dj = j.doubled
     if own and (state := _state_grid(lam.l_max, dj)) is not grid:
         grid, w = state, state.weights() * _values_on_grid(lam, state)  # the trace below normalizes
     # amplitude a at (theta, phi) is b[theta, a] e^{-i m_a phi} with m_a = j - a
-    b = _coherent_amplitudes(dj, grid.theta, np.zeros_like(grid.theta)).real  # (n_theta, dim)
+    b, phases = _ring_tables(grid, dj)
     # ring sums f[i, c - a + 2j] = sum_phi w(theta_i, phi) e^{-i (c - a) phi}
-    f = _real_product(w, np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1))))
+    f = _real_product(w, phases)
     idx = np.arange(dj + 1)
     rho = np.einsum("ia,ic,iac->ac", b, b, f[:, idx - idx[:, None] + dj])
     rho = 0.5 * (rho + rho.conj().T)
@@ -471,7 +509,7 @@ def expansion_from_function(f, l_max: int, grid: QuadratureGrid | None = None) -
     if grid is None:
         grid = QuadratureGrid.for_band_limit(2 * l_max)
     vals = _values_on_grid(f, grid)
-    return SphericalExpansion(l_max, _analysis(grid.weights() * vals, grid, l_max))
+    return SphericalExpansion(l_max, _split(_analysis(grid.weights() * vals, grid, l_max)))
 
 
 def ylm_squared_t(l: int, m: int, j) -> TensorParams:

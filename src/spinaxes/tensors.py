@@ -30,13 +30,20 @@ U(phi, theta, psi) applies to the state, so that
 rotate_t(rho_to_t(rho)) == rho_to_t(U rho U^dag).  It factors each
 rank's d^k(theta) through the quarter turn Delta = d^k(pi/2) (Risbo
 1996; Trapani and Navaza 2006), whose tables are built once from one d
-ladder and shared by every later call, so no call runs a ladder.
+ladder into one read-only stack and shared by every later call, so no call
+runs a ladder.  Its phases act on the whole flat table at once, and each of
+its two passes is one stacked product per size class of ranks, not a
+product per rank.
 
 ``TensorParams`` and ``pfunc.SphericalExpansion`` share one table layout,
 owned here: blocks k = 0 .. K, q = -k .. k, as read-only views of one flat
-array (rank k at k^2 .. (k+1)^2 - 1), checked once for shape, finiteness and
-conj(x^k_q) = (-1)^q x^k_-q, filled from {(k, q): value} mappings by one
-function and completed from their q >= 0 half by another.
+array (rank k at k^2 .. (k+1)^2 - 1), checked once, as that flat array, for
+finiteness, normalization and conj(x^k_q) = (-1)^q x^k_-q.  Blocks handed
+to a constructor are checked for shape and concatenated first; the internal
+producers (``rho_to_t``, ``rotate_t``, the P-function routes, ``from_table``)
+build the flat array themselves and hand it over uncopied.  One function
+fills it from {(k, q): value} mappings, one completes it from its q >= 0
+half, and one gathers that half back out.
 
 Matrices are indexed by descending m, from +j to -j.
 """
@@ -60,6 +67,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 TENSOR_TOL = 1e-12
+_CONJUGATION = "conj(t^k_q) = (-1)^q t^k_-q"
 
 
 def _conjugation_mirror(a: np.ndarray) -> np.ndarray:
@@ -89,33 +97,42 @@ def _split(flat: np.ndarray) -> tuple:
     return tuple(flat[k * k : (k + 1) ** 2] for k in range(math.isqrt(len(flat))))
 
 
-def _checked_blocks(blocks, noun: str, identity: str, normalized: bool = False) -> tuple:
-    """Views of one fresh read-only flat copy of blocks 0, 1, ..., checked in this order: finiteness below
-    the first block not of shape (2k + 1,), that shape, t^0_0 = 1 if normalized, the conjugation identity."""
-    parts = []
-    for k, block in enumerate(blocks):
-        a = np.asarray(block, dtype=complex)
-        if a.shape != (2 * k + 1,):
-            break
-        parts.append(a)
-    flat = np.concatenate(parts or [np.zeros(0)])
+def _checked_flat(
+    flat: np.ndarray, noun: str, identity: str, normalized: bool = False, misshaped: str | None = None
+) -> np.ndarray:
+    """A fresh flat layout, made read-only after its checks in this order: finiteness, the caller's
+    shape error ``misshaped`` if it has one, t^0_0 = 1 if normalized, the conjugation identity."""
     bad = _first_rank(~np.isfinite(flat))
     if bad is not None:
         raise ValidationError(f"{noun} {bad} block has a non-finite entry")
-    if len(parts) < len(blocks):
-        raise ValidationError(f"{noun} {k} block has shape {a.shape}, expected ({2 * k + 1},)")
+    if misshaped is not None:
+        raise ValidationError(misshaped)
     if normalized and abs(flat[0] - 1.0) > TENSOR_TOL:
         raise ValidationError(f"t^0_0 = {flat[0]:.6g}, expected 1 (normalization)")
-    _, _, mirror, sign = _rank_layout(len(parts) - 1)
+    _, _, mirror, sign = _rank_layout(math.isqrt(len(flat)) - 1)
     bad = _first_rank(np.abs(flat - sign * flat[mirror].conj()) > TENSOR_TOL)
     if bad is not None:
         raise ValidationError(f"{noun} {bad} violates {identity}")
     flat.setflags(write=False)
-    return _split(flat)
+    return flat
 
 
-def _entry_blocks(top: int, table: Mapping, noun: str, order: str) -> tuple:
-    """Blocks of ranks 0 .. top from a {(k, q): value} mapping, zero where it has no entry."""
+def _checked_blocks(blocks, noun: str, identity: str, normalized: bool = False) -> np.ndarray:
+    """One fresh read-only flat copy of blocks 0, 1, ...: the blocks before the first not of shape
+    (2k + 1,) are concatenated and checked by ``_checked_flat``, with that block's shape as its error."""
+    parts, misshaped = [], None
+    for k, block in enumerate(blocks):
+        a = np.asarray(block, dtype=complex)
+        if a.shape != (2 * k + 1,):
+            misshaped = f"{noun} {k} block has shape {a.shape}, expected ({2 * k + 1},)"
+            break
+        parts.append(a)
+    flat = np.concatenate(parts or [np.zeros(0, dtype=complex)])
+    return _checked_flat(flat, noun, identity, normalized, misshaped)
+
+
+def _entry_flat(top: int, table: Mapping, noun: str, order: str) -> np.ndarray:
+    """Flat layout of ranks 0 .. top from a {(k, q): value} mapping, zero where it has no entry."""
     flat = np.zeros((top + 1) ** 2, dtype=complex)
     for (k, q), v in table.items():
         if not 0 <= k <= top:
@@ -123,14 +140,23 @@ def _entry_blocks(top: int, table: Mapping, noun: str, order: str) -> tuple:
         if not -k <= q <= k:
             raise ValidationError(f"order {order} = {q} outside |{order}| <= {k}")
         flat[k * k + k + q] = v
-    return _split(flat)
+    return flat
 
 
-def _half_blocks(half: np.ndarray) -> tuple:
-    """Blocks from half[k, q] = x^k_q, 0 <= q <= k, and the identity x^k_-q = (-1)^q conj(x^k_q)."""
+def _from_half(half: np.ndarray) -> np.ndarray:
+    """Flat layout from half[k, q] = x^k_q, 0 <= q <= k, and the identity x^k_-q = (-1)^q conj(x^k_q)."""
     k, q, _, sign = _rank_layout(len(half) - 1)
     kept = half[k, np.abs(q)]
-    return _split(np.where(q < 0, kept.conj() * sign, kept))
+    return np.where(q < 0, kept.conj() * sign, kept)
+
+
+def _half_table(flat: np.ndarray, size: int) -> np.ndarray:
+    """half[k, q] = x^k_q of a flat layout for 0 <= q <= k, zero elsewhere in a size x size table."""
+    k, q, _, _ = _rank_layout(math.isqrt(len(flat)) - 1)
+    half = np.zeros((size, size), dtype=complex)
+    kept = q >= 0
+    half[k[kept], q[kept]] = flat[kept]
+    return half
 
 
 def _real_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -219,8 +245,19 @@ class TensorParams:
         object.__setattr__(self, "j", j)
         if len(self.ranks) != j.doubled + 1:
             raise ValidationError(f"expected ranks 0 .. {j.doubled}, got {len(self.ranks)} blocks")
-        ranks = _checked_blocks(self.ranks, "rank", "conj(t^k_q) = (-1)^q t^k_-q", normalized=True)
-        object.__setattr__(self, "ranks", ranks)
+        flat = _checked_blocks(self.ranks, "rank", _CONJUGATION, normalized=True)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "ranks", _split(flat))
+
+    @classmethod
+    def _from_flat(cls, j: HalfInt, flat: np.ndarray) -> "TensorParams":
+        """The table of ranks 0 .. 2j laid out in ``flat``, a fresh array handed over by its producer
+        (with j already checked): checked in place by the constructor's rule and messages, not copied."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "j", j)
+        object.__setattr__(t, "_flat", _checked_flat(flat, "rank", _CONJUGATION, normalized=True))
+        object.__setattr__(t, "ranks", _split(flat))
+        return t
 
     @classmethod
     def from_table(cls, j, table: Mapping) -> "TensorParams":
@@ -230,7 +267,7 @@ class TensorParams:
         only value normalization allows.
         """
         j = _spin(j)
-        return cls(j, _entry_blocks(j.doubled, {(0, 0): 1.0, **table}, "rank", "q"))
+        return cls._from_flat(j, _entry_flat(j.doubled, {(0, 0): 1.0, **table}, "rank", "q"))
 
     @property
     def max_rank(self) -> int:
@@ -327,10 +364,10 @@ def rho_to_t(rho: SpinDensityMatrix) -> TensorParams:
     low = _real_product(_order_stack(dj), d[:, :, None])[:, :, 0].T  # low[k, p] = t^k_{-p}
     half = (-1.0) ** c * low.conj()  # half[k, q] = t^k_q = (-1)^q conj(t^k_{-q})
     half[:, 0] = low[:, 0]
-    blocks = _half_blocks(half)
+    flat = _from_half(half)
     # Tr(rho tau^0_0) is exactly the trace
-    blocks[0][0] = 1.0
-    return TensorParams(rho.j, blocks)
+    flat[0] = 1.0
+    return TensorParams._from_flat(rho.j, flat)
 
 
 def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
@@ -341,9 +378,7 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
     """
     dim = t.j.doubled + 1
     c = np.arange(dim)
-    up = np.zeros((dim, dim), dtype=complex)  # up[k, p] = t^k_p
-    for k, block in enumerate(t.ranks):
-        up[k, : k + 1] = block[k:]
+    up = _half_table(t._flat, dim)  # up[k, p] = t^k_p
     # tau^k_p^dag = (-1)^p tau^k_-p fills the p-th lower diagonal; Hermiticity
     # gives the upper ones, and halving p = 0 keeps the diagonal counted once.
     lower = _real_product(_order_stack(dim - 1).transpose(0, 2, 1), up.T[:, :, None])[:, :, 0]
@@ -362,24 +397,69 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
     return rho
 
 
-# d^k(pi/2) for k = 0 .. len - 1; only the longest table built so far is kept
-_QUARTER_TURNS: tuple = ()
+# Ranks per size class of the quarter-turn stack
+_TURN_CLASS = 8
+# (top, classes): d^k(pi/2) for k = 0 .. top; only the stack with the largest top built so far is kept
+_QUARTER_TURNS: tuple = (-1, ())
+
+
+def _turn_classes(k_max: int) -> tuple:
+    """(top, classes): read-only stacks of d^k(pi/2) for k = 0 .. top >= k_max, one per size class.
+
+    Class c holds ranks c W .. min(c W + W - 1, top), W = _TURN_CLASS, each
+    zero-padded to the class's largest rank h and centred: rows and columns
+    q = +h .. -h, rank k filling q = +k .. -k.  A class is one stacked
+    product, whatever the ranks in it.  The even steps of one d ladder at
+    pi/2 are the integer spins; the classes are views of one read-only
+    buffer, and a stack built for a larger k_max serves every smaller one.
+    """
+    global _QUARTER_TURNS
+    if _QUARTER_TURNS[0] < k_max:
+        ladder = islice(_d_ladder(2 * k_max, math.pi / 2), None, None, 2)
+        spans = [(lo, min(lo + _TURN_CLASS - 1, k_max)) for lo in range(0, k_max + 1, _TURN_CLASS)]
+        buffer = np.zeros(sum((hi - lo + 1) * (2 * hi + 1) ** 2 for lo, hi in spans))
+        classes, start = [], 0
+        for lo, hi in spans:
+            stack = buffer[start : start + (hi - lo + 1) * (2 * hi + 1) ** 2].reshape(hi - lo + 1, 2 * hi + 1, -1)
+            start += stack.size
+            for k in range(lo, hi + 1):
+                stack[k - lo, hi - k : hi + k + 1, hi - k : hi + k + 1] = next(ladder)
+            stack.setflags(write=False)
+            classes.append(stack)
+        buffer.setflags(write=False)
+        _QUARTER_TURNS = k_max, tuple(classes)
+    return _QUARTER_TURNS
 
 
 def _quarter_turns(k_max: int) -> tuple:
-    """Read-only d^k(pi/2) for k = 0 .. at least k_max, rows and columns q = +k .. -k.
+    """Read-only d^k(pi/2) for k = 0 .. at least k_max, rows and columns q = +k .. -k: views of the stack."""
+    top, classes = _turn_classes(k_max)
+    tables = []
+    for lo, stack in zip(range(0, top + 1, _TURN_CLASS), classes):
+        hi = lo + len(stack) - 1
+        tables += [stack[k - lo, hi - k : hi + k + 1, hi - k : hi + k + 1] for k in range(lo, hi + 1)]
+    return tuple(tables)
 
-    The even steps of one d ladder at pi/2 are the integer spins; a table
-    built for a larger k_max serves every smaller one.
+
+@lru_cache(maxsize=64)
+def _turn_layout(k_max: int, top: int) -> tuple:
+    """How ``rotate_t`` lays ranks 0 .. k_max out for the classes of the stack built to ``top``.
+
+    Returns the read-only position of each flat entry in one padded vector,
+    that vector's length, and per class (start, ranks, width, largest rank):
+    rank k of a class is the width-long stretch after start + (k - lo) width,
+    its order q at offset h - q, h the class's largest rank.
     """
-    global _QUARTER_TURNS
-    tables = _QUARTER_TURNS
-    if len(tables) <= k_max:
-        tables = tuple(islice(_d_ladder(2 * k_max, math.pi / 2), None, None, 2))
-        for d in tables:
-            d.setflags(write=False)
-        _QUARTER_TURNS = tables
-    return tables
+    k, q, _, _ = _rank_layout(k_max)
+    lo = np.arange(0, k_max + 1, _TURN_CLASS)
+    hi = np.minimum(lo + _TURN_CLASS - 1, top)
+    width, count = 2 * hi + 1, np.minimum(hi, k_max) - lo + 1
+    start = np.cumsum(count * width) - count * width
+    c = k // _TURN_CLASS
+    where = start[c] + (k - lo[c]) * width[c] + hi[c] - q
+    where.setflags(write=False)
+    spans = tuple(zip(start.tolist(), count.tolist(), width.tolist(), hi.tolist()))
+    return where, int((count * width).sum()), spans
 
 
 def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorParams:
@@ -393,21 +473,26 @@ def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorPar
 
         d^k(theta) = diag(i^-q) Delta^T diag(e^{i q theta}) Delta diag(i^q),
 
-    with Delta = d^k(pi/2) cached once for all calls, so a rank costs two
-    products with Delta and three phase vectors, whatever the angles.
+    with Delta = d^k(pi/2) cached once for all calls.  The outer phases act
+    on the whole flat table at once; each pass with Delta or Delta^T is one
+    stacked product per size class of ranks (``_turn_classes``), with every
+    rank zero-padded to its class's width, whatever the angles.
     """
     kmax = t.max_rank
-    q = np.arange(kmax, -kmax - 1, -1)  # descending, as the rows of Delta
-    quarter = np.array([1, 1j, -1, -1j])[q % 4]  # i^q, exact
-    into = np.exp(1j * psi * q) * quarter
-    turn = np.exp(1j * theta * q)
-    out = np.exp(1j * phi * q) * quarter.conj()
-    blocks = []
-    for k, (delta, block) in enumerate(zip(_quarter_turns(kmax), t.ranks)):
-        s = slice(kmax - k, kmax + k + 1)
-        x = _real_product(delta, into[s] * block[::-1])
-        blocks.append((out[s] * _real_product(delta.T, turn[s] * x))[::-1])
-    return TensorParams(t.j, tuple(blocks))
+    top, classes = _turn_classes(kmax)
+    where, size, spans = _turn_layout(kmax, top)
+    _, q, _, _ = _rank_layout(kmax)
+    steps = np.arange(-kmax, kmax + 1)
+    quarter = np.array([1, 1j, -1, -1j])[steps % 4]  # i^q, exact
+    x = np.zeros(size, dtype=complex)
+    x[where] = t._flat * (np.exp(1j * psi * steps) * quarter)[q + kmax]
+    widest = spans[-1][3]
+    turn = np.exp(1j * theta * np.arange(widest, -widest - 1, -1))  # q descending, as the rows of Delta
+    for (start, count, width, hi), stack in zip(spans, classes):
+        s, delta = slice(start, start + count * width), stack[:count]
+        y = _real_product(delta, x[s].reshape(count, width, 1)) * turn[widest - hi : widest + hi + 1, None]
+        x[s] = _real_product(delta.transpose(0, 2, 1), y).reshape(-1)
+    return TensorParams._from_flat(t.j, x[where] * (np.exp(1j * phi * steps) * quarter.conj())[q + kmax])
 
 
 def maximally_mixed(j) -> SpinDensityMatrix:

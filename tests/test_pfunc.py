@@ -28,7 +28,9 @@ from spinaxes import (
     wigner_D_matrix,
     ylm_squared_t,
 )
-from spinaxes.pfunc import _grid_legendre_table, _legendre_table, _state_grid, _values_on_grid
+from spinaxes import pfunc as pfunc_module
+from spinaxes.pfunc import _grid_legendre_table, _grid_phases, _legendre_table, _ring_tables, _state_grid
+from spinaxes.pfunc import _tensor_and_minimum, _values_on_grid
 from spinaxes.symmetric import BlochVector
 from spinaxes.tensors import _conjugation_mirror
 
@@ -647,6 +649,58 @@ class TestExpansionWithoutGrid:
         rho = rho_from_distribution(lam, h(dj)).matrix
         assert np.abs(rho - TestDistributionRoutes._by_nodes(lam, dj, _state_grid(l_max, dj))).max() < 1e-14
 
+
+class TestRingTables:
+    """The per-grid tables of both routes: cached, bounded, read-only, and summing what the nodes sum."""
+
+    def test_caches_are_bounded_and_hold_read_only_tables(self):
+        grid = QuadratureGrid.for_band_limit(9)
+        b, e = _ring_tables(grid, 6)
+        assert _ring_tables(grid, 6)[0] is b and _ring_tables(grid, 5)[0] is not b
+        phases = _grid_phases(grid, 3)
+        assert _grid_phases(grid, 3) is phases
+        for cache in (_ring_tables, _grid_phases):
+            assert cache.cache_info().maxsize is not None
+        for table in (b, e, phases):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+        np.testing.assert_array_equal(b, coherent_state(h(6), grid.theta, np.zeros_like(grid.theta)).real)
+        np.testing.assert_array_equal(e, np.exp(-1j * np.outer(grid.phi, np.arange(-6, 7))))
+        np.testing.assert_array_equal(phases, np.exp(-1j * np.outer(np.arange(-3, 4), grid.phi)))
+
+    # both branches of _state_grid: the probe's grid (band 2L) and the smallest exact one
+    @pytest.mark.filterwarnings("ignore::spinaxes.NonClassicalWarning")
+    @pytest.mark.parametrize(
+        "dj, l_max, probe",
+        [(1, 4, True), (4, 4, True), (4, 0, False), (40, 20, True), (40, 4, False), (60, 20, True), (60, 4, False)],
+    )
+    def test_cached_tables_keep_the_node_sum(self, dj, l_max, probe):
+        lam = TestExpansionWithoutGrid._positive(700 + dj + l_max, l_max)
+        grid = _state_grid(l_max, dj)
+        assert (grid is QuadratureGrid.for_band_limit(2 * l_max)) is probe
+        want = TestDistributionRoutes._by_nodes(lam, dj, grid)
+        first = rho_from_distribution(lam, h(dj)).matrix
+        again = rho_from_distribution(lam, h(dj)).matrix  # from the cached tables
+        np.testing.assert_array_equal(again, first)
+        assert np.abs(first - want).max() < 1e-14
+
+
+class TestTensorAndMinimum:
+    """The pfunc command's one evaluation of lambda: the tensor and the minimum it was checked with."""
+
+    @pytest.mark.filterwarnings("ignore::spinaxes.NonClassicalWarning")
+    @pytest.mark.parametrize("dj", [1, 4, 20])
+    def test_is_the_route_and_the_grid_minimum(self, dj, monkeypatch):
+        lam = SphericalExpansion.from_table(4, {(0, 0): 1.0 / math.sqrt(4.0 * math.pi), (4, 0): 0.6, (1, 0): 0.1})
+        grid = default_grid(4, h(dj))
+        low = float(_values_on_grid(lam, grid).min())
+        want = t_from_distribution(lam, h(dj), grid)
+        calls = []
+        monkeypatch.setattr(pfunc_module, "_values_on_grid", lambda *a: calls.append(a) or _values_on_grid(*a))
+        t, got = _tensor_and_minimum(lam, h(dj), grid)
+        assert len(calls) == 1
+        assert got == low < 0.0
+        assert t.max_abs_diff(want) == 0.0
 
 def _delta_like(direction, l_max):
     # band-limited approximation of a point mass: sum_l conj(Y)(dir) Y, normalized

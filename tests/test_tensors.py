@@ -19,7 +19,8 @@ from spinaxes import (
     t_to_rho,
     tau_operator,
 )
-from spinaxes.tensors import _conjugation_mirror, _order_stack, _quarter_turns, _real_product
+from spinaxes.pfunc import SphericalExpansion, default_grid, t_from_distribution, ylm_squared_t
+from spinaxes.tensors import _conjugation_mirror, _order_stack, _quarter_turns, _real_product, _turn_layout
 
 from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
 
@@ -459,3 +460,121 @@ class TestRealProduct:
                 assert abs(t.item(k, q) - np.trace(rho.matrix @ tau_operator(h(dj), k, q))) < 1e-13
         np.testing.assert_allclose(t_to_rho(t).matrix, rho.matrix, atol=1e-13)
         assert t.max_abs_diff(rho_to_t(t_to_rho(t))) < 1e-13
+
+
+class TestStackedRotation:
+    """rotate_t's stacked passes against the per-rank product from the quarter-turn tables."""
+
+    @staticmethod
+    def _per_rank(t, phi, theta, psi, k):
+        # d^k(theta) = diag(i^-q) Delta^T diag(e^{i q theta}) Delta diag(i^q), q = +k .. -k
+        delta = _quarter_turns(k)[k]
+        q = np.arange(k, -k - 1, -1)
+        into = np.exp(1j * psi * q) * 1j**q
+        out = np.exp(1j * phi * q) * (-1j) ** q
+        return (out * (delta.T @ (np.exp(1j * theta * q) * (delta @ (into * t.ranks[k][::-1])))))[::-1]
+
+    def test_each_rank_is_the_per_rank_product(self):
+        rng = np.random.default_rng(71)
+        # 60 first, so the tables built for it serve the spins after it
+        for dj in (60, 4, 40, 12, 0, 1, 2):
+            t = rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1)))
+            angles = rng.uniform(0.0, 2.0 * math.pi, 3)
+            turned = rotate_t(t, *angles)
+            for k in range(dj + 1):
+                want = self._per_rank(t, *angles, k)
+                assert np.abs(turned.ranks[k] - want).max() <= 1e-15 * max(np.linalg.norm(want), 1e-300), (dj, k)
+
+    def test_tables_are_views_of_one_read_only_stack(self):
+        rotate_t(rho_to_t(maximally_mixed(h(40))), 0.1, 0.2, 0.3)
+        tables = _quarter_turns(40)
+        assert all(d.base is tables[0].base for d in tables)
+        assert not tables[0].base.flags.writeable
+        for k in (0, 1, 7, 8, 40):
+            np.testing.assert_allclose(tables[k] @ tables[k].T, np.eye(2 * k + 1), atol=1e-13)
+
+    def test_layout_cache_is_bounded_and_read_only(self):
+        rotate_t(rho_to_t(maximally_mixed(h(9))), 0.1, 0.2, 0.3)
+        assert _turn_layout.cache_info().maxsize is not None
+        assert _turn_layout.cache_info().currsize >= 1
+        where = _turn_layout(9, len(_quarter_turns(9)) - 1)[0]
+        assert sorted(set(where.tolist())) == sorted(where.tolist())  # one slot per entry
+        with pytest.raises(ValueError):
+            where[0] = 0
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+class TestFlatConstruction:
+    """Every table is checked once, as one flat array, whichever way it was built."""
+
+    @staticmethod
+    def _one_flat(blocks):
+        base = blocks[0].base
+        start = blocks[0].__array_interface__["data"][0]
+        assert base is not None and base.size == len(blocks) ** 2 and not base.flags.writeable
+        for k, b in enumerate(blocks):
+            assert b.base is base and not b.flags.writeable
+            assert b.__array_interface__["data"][0] == start + k * k * b.itemsize
+            with pytest.raises(ValueError):
+                b[0] = 0.0
+
+    def test_producers_hand_over_one_read_only_flat_array(self):
+        rng = np.random.default_rng(72)
+        lam = SphericalExpansion.from_table(2, {(0, 0): 1.0 / math.sqrt(4.0 * math.pi), (2, 1): 0.01 + 0.02j,
+                                                (2, -1): -0.01 + 0.02j})
+        for dj in (0, 3, 12):
+            t = rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1)))
+            for table in (t, rotate_t(t, 0.4, 1.3, -2.2), t_from_distribution(lam, h(dj)),
+                          t_from_distribution(lam, h(dj), default_grid(2, h(dj))), ylm_squared_t(2, 1, h(dj)),
+                          TensorParams(h(dj), t.ranks)):
+                self._one_flat(table.ranks)
+
+    def test_flat_path_equals_blocks_path_bit_for_bit(self):
+        rng = np.random.default_rng(73)
+        for dj in (0, 5, 40):
+            t = rotate_t(rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1))), 0.9, 2.1, 0.3)
+            from_blocks = TensorParams(h(dj), tuple(b.copy() for b in t.ranks))
+            from_flat = TensorParams._from_flat(h(dj), np.concatenate(t.ranks))
+            for table in (from_blocks, from_flat):
+                np.testing.assert_array_equal(_bits(np.concatenate(table.ranks)), _bits(np.concatenate(t.ranks)))
+
+    @pytest.mark.parametrize("flat_path", [False, True])
+    def test_pinned_messages(self, flat_path):
+        def build(flat):
+            if flat_path:
+                return TensorParams._from_flat(h(3), flat)
+            return TensorParams(h(3), tuple(flat[k * k : (k + 1) ** 2] for k in range(4)))
+
+        good = np.concatenate(rho_to_t(maximally_mixed(h(3))).ranks)
+        cases = [
+            (2 * 2 + 1, np.nan, "rank 2 block has a non-finite entry"),
+            (0, 1.5, "t^0_0 = 1.5+0j, expected 1 (normalization)"),
+            (3 * 3 + 4, 0.25, "rank 3 violates conj(t^k_q) = (-1)^q t^k_-q"),
+        ]
+        for index, value, message in cases:
+            flat = good.copy()
+            flat[index] = value
+            with pytest.raises(ValidationError) as caught:
+                build(flat)
+            assert str(caught.value) == message
+        if not flat_path:
+            blocks = list(rho_to_t(maximally_mixed(h(3))).ranks)
+            blocks[2] = blocks[2][:-1]
+            with pytest.raises(ValidationError) as caught:
+                TensorParams(h(3), tuple(blocks))
+            assert str(caught.value) == "rank 2 block has shape (4,), expected (5,)"
+
+    def test_expansion_messages_are_unchanged(self):
+        base = [np.array([1.0 / math.sqrt(4.0 * math.pi)], dtype=complex), np.zeros(3, dtype=complex)]
+        cases = [
+            ([base[0], np.array([0, np.inf, 0], dtype=complex)], "degree 1 block has a non-finite entry"),
+            ([base[0], np.zeros(2)], "degree 1 block has shape (2,), expected (3,)"),
+            ([base[0], np.array([0, 0, 0.1])], "degree 1 violates the reality condition conj(a^l_m) = (-1)^m a^l_-m"),
+        ]
+        for blocks, message in cases:
+            with pytest.raises(ValidationError) as caught:
+                SphericalExpansion(1, tuple(blocks))
+            assert str(caught.value) == message
