@@ -15,10 +15,13 @@ Exact rational arithmetic is used for Clebsch-Gordan coefficients only:
 they are returned as an :class:`ExactCoefficient`, a sign together with the
 exact square of the magnitude.  Wigner d matrices come in floating point
 from Risbo's recursion, which couples one spin 1/2 at a time and so builds
-every d^j up to a given j in one pass.  Spin quantum numbers are supported
-up to doubled value 60 (j = 30); coupling ranks that arise from such spins
-go up to doubled value 120 (rank 60), which is also the largest
-spherical-harmonic degree.
+every d^j up to a given j in one pass.  Spherical harmonics come from one
+normalized associated-Legendre recursion (``_legendre_table``), which
+tabulates every Y^l_m(theta, 0) up to a degree at once; the P-function
+quadratures of :mod:`spinaxes.pfunc` read the same table on their grids.
+Spin quantum numbers are supported up to doubled value 60 (j = 30);
+coupling ranks that arise from such spins go up to doubled value 120
+(rank 60), which is also the largest spherical-harmonic degree.
 
 All functions are pure and cache only immutable data, so they are safe to
 call from multiple threads.
@@ -244,26 +247,39 @@ def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     return np.exp(-1j * phi * mvals)[:, None] * d * np.exp(-1j * psi * mvals)[None, :]
 
 
-def _assoc_legendre(l: int, m: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """P^m_l with Condon-Shortley phase, for 0 <= m <= l; s = sin(theta)."""
-    pmm = np.ones_like(x)
-    for i in range(1, m + 1):
-        pmm = pmm * (-(2 * i - 1)) * s
-    if l == m:
-        return pmm
-    pm1 = x * (2 * m + 1) * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
-        pmm, pm1 = pm1, (x * (2 * ll - 1) * pm1 - (ll + m - 1) * pmm) / (ll - m)
-    return pm1
+def _legendre_table(l_max: int, theta: np.ndarray, orders=None) -> np.ndarray:
+    """Y^l_m(theta, 0) as table[l, o, i] for 0 <= l <= l_max, the o-th of the ascending orders m
+    (every m in 0 .. l_max by default) and 1-d theta; zero for m > l.
+
+    One pass up in l: the sectoral Y^l_l come down the diagonal from Y^0_0,
+    the other orders from the normalized three-term recursion in l, for all
+    orders and nodes at once.  Fewer orders cost less, with the same values.
+    """
+    x, s = np.cos(theta), np.sin(theta)
+    m = np.arange(l_max + 1) if orders is None else np.asarray(orders)
+    table = np.zeros((l_max + 1, len(m), len(theta)))
+    sectoral = np.full(len(theta), 1.0 / math.sqrt(4 * math.pi))
+    for l in range(l_max + 1):
+        if l:
+            sectoral = sectoral * (-math.sqrt((2 * l + 1) / (2 * l)) * s)
+        k = np.searchsorted(m, l)  # m[:k] are the orders below l
+        if k < len(m) and m[k] == l:
+            table[l, k] = sectoral
+        if k:
+            a = np.sqrt((4 * l * l - 1) / (l * l - m[:k] ** 2))[:, None]
+            table[l, :k] = a * x * table[l - 1, :k]
+            if l > 1:
+                b = np.sqrt(((l - 1) ** 2 - m[:k] ** 2) / (4 * (l - 1) ** 2 - 1))[:, None]
+                table[l, :k] -= a * b * table[l - 2, :k]
+    return table
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Spherical harmonic Y^l_m(theta, phi); accepts scalars or arrays.
 
-    Negative orders are produced from Y^l_{-m} = (-1)^m conj(Y^l_m), which
-    keeps the conjugation identity exact in floating point.
+    Y^l_m(theta, 0) is entry (l, m) of ``_legendre_table``.  Negative orders
+    are produced from Y^l_{-m} = (-1)^m conj(Y^l_m), which keeps the
+    conjugation identity exact in floating point.
     """
     if not isinstance(l, int) or not isinstance(m, int):
         raise DomainError("spherical harmonic degree and order must be ints")
@@ -276,8 +292,5 @@ def spherical_harmonic(l: int, m: int, theta, phi):
         return np.conj(y) if (-m) % 2 == 0 else -np.conj(y)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    x = np.cos(theta)
-    s = np.sin(theta)
-    norm = math.sqrt(float(Fraction((2 * l + 1) * _f(l - m), 4 * _f(l + m))) / math.pi)
-    val = norm * _assoc_legendre(l, m, x, s) * np.exp(1j * m * phi)
+    val = _legendre_table(l, theta.ravel(), [m])[l, 0].reshape(theta.shape) * np.exp(1j * m * phi)
     return val[()] if val.ndim == 0 else val

@@ -25,9 +25,10 @@ that grid.
 Without an explicit grid an expansion of degree L is checked once, for
 normalization, reality and sign, on the grid of band 2L (exact through
 degree 4L + 2), whatever j: the minimum a warning reports depends on
-lambda alone.  The state's integrand has degree b = L + 2j; it is summed
-on that same grid when it is exact for b, else on the smallest exact
-product grid, floor(b/2) + 1 rings of b + 1 points.
+lambda alone.  The state's integrand has degree b = L + 2j and is summed
+on the smallest exact grid for max(b, 4L + 2): the probe's own grid while
+b <= 4L + 2.  Every default grid is a smallest exact product grid,
+floor(D/2) + 1 rings of D + 1 points for degree D, from one bounded cache.
 
 The grid is a product of theta rings and uniform phi, and an amplitude
 factors as b_a(theta) e^{-i m_a phi} with b real, so the state is summed
@@ -43,16 +44,13 @@ at arbitrary points: the Legendre table on the distinct theta nodes
 contracts with the coefficients to one value per node and order m, and
 the phases e^{-i m phi} finish every point.
 
-Default grids (``QuadratureGrid.for_band_limit``, ``default_grid``, the
-smallest exact grids) are built once per band limit, in a bounded cache,
-and shared: a grid is frozen and its arrays are read-only.  A grid's
-Legendre table is cached the same way, per grid and degree, for the
-quadrature of t^k_q and for lambda's values on the grid (when the table
-fits in one block); the quadrature reads it through real products, never
-copying it to complex.  So are the ring tables of the state's sum, the
-real amplitudes b_a(theta_i) and the phases e^{-i p phi}, per grid and
-spin, and lambda's phases e^{-i m phi} at the phi nodes, per grid and
-degree: after the first call on a grid, neither route builds a table.
+Grids are frozen, their arrays read-only.  Each grid has one table per
+job, cached per grid (grids hash by identity) in bounded caches and
+read-only: its Legendre table per degree (``_grid_legendre_table``), its
+phases e^{-i p phi} per largest order (``_phases``, shared by lambda's
+synthesis, the quadrature of t^k_q and the state's ring sums) and the
+real ring amplitudes b_a(theta_i) per spin.  After the first call on a
+grid, neither route builds a table.
 
 Weight functions are represented either as callables of (theta, phi) or as
 :class:`SphericalExpansion` coefficient tables over conj(Y^l_m).
@@ -69,7 +67,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .angular import MAX_DEGREE
+from .angular import MAX_DEGREE, _legendre_table
 from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt
 from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
@@ -124,29 +122,6 @@ def _check_l_max(l_max) -> None:
         raise DomainError(f"l_max must be an int in 0 .. {MAX_DEGREE}, got {l_max!r}")
 
 
-def _legendre_table(l_max: int, theta: np.ndarray) -> np.ndarray:
-    """Y^l_m(theta, 0) as table[l, m, i] for 0 <= m <= l <= l_max and 1-d theta; zero for m > l.
-
-    The sectoral Y^m_m come down the diagonal from Y^0_0, the rest from the
-    normalized three-term recursion in l, for all orders and nodes at once.
-    """
-    x, s = np.cos(theta), np.sin(theta)
-    m = np.arange(l_max + 1)
-    steps = np.empty((l_max + 1, len(theta)))
-    steps[0] = 1.0 / math.sqrt(4 * math.pi)
-    steps[1:] = -np.sqrt((2 * m[1:] + 1) / (2 * m[1:]))[:, None] * s
-    table = np.zeros((l_max + 1, l_max + 1, len(theta)))
-    table[m, m] = np.cumprod(steps, axis=0)
-    for l in range(1, l_max + 1):
-        mm = m[:l]
-        a = np.sqrt((4 * l * l - 1) / (l * l - mm * mm))[:, None]
-        table[l, :l] = a * x * table[l - 1, :l]
-        if l > 1:
-            b = np.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))[:, None]
-            table[l, :l] -= a * b * table[l - 2, :l]
-    return table
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature on the sphere: Gauss-Legendre in cos(theta),
@@ -175,22 +150,18 @@ class QuadratureGrid:
         return cls(np.arccos(x), np.arange(n_phi) * (2 * math.pi / n_phi), w)
 
     @classmethod
-    @lru_cache(maxsize=32)
     def for_band_limit(cls, band_limit: int) -> "QuadratureGrid":
         """Default grid exact through at least the given harmonic degree.
 
-        Its band_limit + 2 rings of 2 band_limit + 3 points integrate every
-        Y^D_m to rounding through D = 2 band_limit + 2, about twice the
-        degree asked for, so it is not the smallest such grid.  At band 2L
-        it is the sign probe of a degree-L expansion.
-
-        Built once per band limit and shared: the grid is frozen and its
-        arrays are read-only.  The cache is bounded, so a stream of large
-        band limits cannot pin their grids.
+        It is the smallest exact grid for degree 2 band_limit + 2 (see
+        ``_exact_grid``), band_limit + 2 rings of 2 band_limit + 3 points:
+        about twice the degree asked for.  At band 2L it is the sign probe
+        of a degree-L expansion.  Shared, like every grid ``_exact_grid``
+        builds.
         """
         if band_limit < 0:
             raise DomainError("band limit must be non-negative")
-        return cls.build(band_limit + 2, 2 * band_limit + 3)
+        return _exact_grid(2 * band_limit + 2)
 
     @property
     def n_theta(self) -> int:
@@ -309,7 +280,7 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
         # a grid's table is cached when it fits in one block
         fits = grid.n_theta * (lam.l_max + 1) ** 2 <= _TABLE_ENTRIES
         table = _grid_legendre_table(grid, lam.l_max) if fits else None
-        vals = _ring_orders(lam, grid.theta, table) @ _grid_phases(grid, lam.l_max)
+        vals = _ring_orders(lam, grid.theta, table) @ _phases(grid, lam.l_max).T
     elif callable(lam):
         th, ph = grid.mesh()
         vals = np.asarray(lam(th, ph), dtype=complex)
@@ -326,8 +297,8 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
 def _grid_legendre_table(grid: QuadratureGrid, l_max: int) -> np.ndarray:
     """Read-only ``_legendre_table`` on a grid's theta nodes, built once per (grid, l_max).
 
-    Grids hash by identity.  Like ``QuadratureGrid.for_band_limit``, the cache
-    is bounded, so a stream of large grids cannot pin their tables.
+    Grids hash by identity.  Like ``_exact_grid``'s, the cache is bounded,
+    so a stream of large grids cannot pin their tables.
     """
     table = _legendre_table(l_max, grid.theta)
     table.setflags(write=False)
@@ -335,42 +306,39 @@ def _grid_legendre_table(grid: QuadratureGrid, l_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _grid_phases(grid: QuadratureGrid, l_max: int) -> np.ndarray:
-    """Read-only e^{-i m phi} at a grid's phi nodes, [m + l_max, node] for |m| <= l_max.
+def _phases(grid: QuadratureGrid, n: int) -> np.ndarray:
+    """Read-only e^{-i p phi} at a grid's phi nodes, [node, p + n] for |p| <= n, built once per (grid, n).
 
-    The phases of lambda's values on the grid, built once per (grid, l_max):
-    a grid too coarse in phi aliases exactly as node by node.  Bounded like
+    The one phase table of a grid: lambda's synthesis reads it transposed,
+    the quadrature of t^k_q the conjugate of its p >= 0 half, and the ring
+    sums of ``rho_from_distribution`` as it is.  Bounded like
     ``_grid_legendre_table``.
     """
-    phases = np.exp(-1j * np.outer(np.arange(-l_max, l_max + 1), grid.phi))
+    phases = np.exp(-1j * np.outer(grid.phi, np.arange(-n, n + 1)))
     phases.setflags(write=False)
     return phases
 
 
 @lru_cache(maxsize=32)
-def _ring_tables(grid: QuadratureGrid, dj: int) -> tuple:
-    """Read-only (b, e) of spin dj/2 on a grid, built once per (grid, 2j): the real ring amplitudes
-    b[i, a] of the coherent state at theta_i, phi = 0, and e[node, p + 2j] = e^{-i p phi} for |p| <= 2j.
-
-    ``rho_from_distribution`` sums with them; bounded like ``_grid_legendre_table``.
+def _ring_tables(grid: QuadratureGrid, dj: int) -> np.ndarray:
+    """Read-only real ring amplitudes b[i, a] of the spin-dj/2 coherent state at theta_i, phi = 0,
+    built once per (grid, 2j) for ``rho_from_distribution``; bounded like ``_grid_legendre_table``.
     """
     b = np.ascontiguousarray(_coherent_amplitudes(dj, grid.theta, np.zeros_like(grid.theta)).real)
-    e = np.exp(-1j * np.outer(grid.phi, np.arange(-dj, dj + 1)))
-    for a in (b, e):
-        a.setflags(write=False)
-    return b, e
+    b.setflags(write=False)
+    return b
 
 
 def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> np.ndarray:
     """Flat layout of sum_nodes w Y^l_m for l = 0 .. l_max, m ascending, from real node weights w.
 
-    The sum over phi is one product with e^{i m phi}, the sum over theta one
-    product per order with the grid's cached Legendre table, both real
-    tables times complex operands; a real w needs only m >= 0, and the
-    conjugation identity supplies the rest.
+    The sum over phi is one product with e^{i m phi}, the conjugate of the
+    grid's cached phases, the sum over theta one product per order with the
+    grid's cached Legendre table, both real tables times complex operands;
+    a real w needs only m >= 0, and the conjugation identity supplies the
+    rest.
     """
-    m = np.arange(l_max + 1)
-    per_m = _real_product(w, np.exp(1j * np.outer(grid.phi, m)))  # (n_theta, m)
+    per_m = _real_product(w, _phases(grid, l_max)[:, l_max:].conj())  # (n_theta, m)
     table = _grid_legendre_table(grid, l_max).transpose(1, 0, 2)  # [m, l, i]
     return _from_half(_real_product(table, per_m.T[:, :, None])[:, :, 0].T)
 
@@ -394,7 +362,10 @@ def _exact_grid(band_limit: int) -> QuadratureGrid:
 
     Its floor(b/2) + 1 Gauss-Legendre rings are exact in cos(theta) through
     degree 2 floor(b/2) + 1 >= b, and its b + 1 phi points sum e^{i m phi}
-    exactly for |m| <= b.  The cache is bounded like ``for_band_limit``'s.
+    exactly for |m| <= b.  The only cached grid constructor: every default
+    grid is one of these, frozen with read-only arrays and shared.  The
+    cache is bounded, so a stream of large band limits cannot pin their
+    grids.
     """
     return QuadratureGrid.build(band_limit // 2 + 1, band_limit + 1)
 
@@ -402,12 +373,11 @@ def _exact_grid(band_limit: int) -> QuadratureGrid:
 def _state_grid(l_max: int, dj: int) -> QuadratureGrid:
     """The grid ``rho_from_distribution`` sums a degree-l_max expansion on when given none.
 
-    Its integrand has degree at most b = l_max + 2j: the sign probe's grid
-    when that is exact for b (b <= 4 l_max + 2), so lambda is evaluated
-    once, else the smallest exact grid for b.
+    Its integrand has degree at most b = l_max + 2j.  The sign probe's grid,
+    ``_exact_grid(4 l_max + 2)``, is exact for any b up to 4 l_max + 2, so
+    there lambda is evaluated once; above, the smallest exact grid for b.
     """
-    band = l_max + dj
-    return QuadratureGrid.for_band_limit(2 * l_max) if band <= 4 * l_max + 2 else _exact_grid(band)
+    return _exact_grid(max(l_max + dj, 4 * l_max + 2))
 
 
 def _distribution_weights(
@@ -489,9 +459,9 @@ def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDen
     if own and (state := _state_grid(lam.l_max, dj)) is not grid:
         grid, w = state, state.weights() * _values_on_grid(lam, state)  # the trace below normalizes
     # amplitude a at (theta, phi) is b[theta, a] e^{-i m_a phi} with m_a = j - a
-    b, phases = _ring_tables(grid, dj)
+    b = _ring_tables(grid, dj)
     # ring sums f[i, c - a + 2j] = sum_phi w(theta_i, phi) e^{-i (c - a) phi}
-    f = _real_product(w, phases)
+    f = _real_product(w, _phases(grid, dj))
     idx = np.arange(dj + 1)
     rho = np.einsum("ia,ic,iac->ac", b, b, f[:, idx - idx[:, None] + dj])
     rho = 0.5 * (rho + rho.conj().T)

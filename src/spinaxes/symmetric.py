@@ -19,11 +19,13 @@ import numpy as np
 from .angular import MAX_DOUBLED_J, _scaled_direction
 from .errors import DomainError, ValidationError
 from .halfint import HalfInt
-from .pfunc import coherent_state
+from .pfunc import _coherent_amplitudes, coherent_state
 from .tensors import SpinDensityMatrix
 
 MAX_QUBITS = 12
 WEIGHT_SUM_TOL = 1e-12
+# Terms whose amplitudes ensemble_to_rho builds at once
+_TERM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,19 @@ class SeparableEnsemble:
 
 
 def ensemble_to_rho(ensemble: SeparableEnsemble) -> SpinDensityMatrix:
-    """Mixture of the ensemble's product states in the |j m> ladder basis."""
-    dim = ensemble.n_qubits + 1
-    acc = np.zeros((dim, dim), dtype=complex)
-    for weight, direction in ensemble.terms:
-        acc += weight * product_state_in_jm(direction, ensemble.n_qubits).matrix
+    """Mixture of the ensemble's product states in the |j m> ladder basis.
+
+    Each term adds w v v^dag, v its coherent-state amplitudes, in term order;
+    the amplitudes are built _TERM_BLOCK terms at a time, so memory stays
+    bounded however many terms the ensemble has.
+    """
+    dj, terms = ensemble.n_qubits, ensemble.terms
+    acc = np.zeros((dj + 1, dj + 1), dtype=complex)
+    for lo in range(0, len(terms), _TERM_BLOCK):
+        block = terms[lo : lo + _TERM_BLOCK]
+        theta, phi = np.array([(d.theta, d.phi) for _, d in block]).T
+        for (weight, _), v in zip(block, _coherent_amplitudes(dj, theta, phi)):
+            acc += weight * np.outer(v, v.conj())
     return SpinDensityMatrix(ensemble.j, acc)
 
 

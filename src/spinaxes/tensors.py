@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Mapping
 
@@ -220,6 +220,11 @@ class SpinDensityMatrix:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
     def min_eigenvalue(self) -> float:
+        return self._lowest_eigenvalue
+
+    @cached_property
+    def _lowest_eigenvalue(self) -> float:
+        # the matrix is read-only, so one eigendecomposition serves every query
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
     @property

@@ -266,6 +266,22 @@ class TestSphericalHarmonic:
                 ref = sph_harm_y(l, m, theta, phi)
                 assert np.abs(got - ref).max() < 1e-12
 
+    def test_against_scipy_to_degree_60(self):
+        # every order of every supported degree, poles and near-poles included
+        rng = np.random.default_rng(61)
+        theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 40)), [0.0, 1e-8, math.pi / 2, math.pi - 1e-8, math.pi]])
+        phi = rng.uniform(0, 2 * math.pi, theta.size)
+        for l in range(61):
+            for m in range(-l, l + 1):
+                assert np.abs(spherical_harmonic(l, m, theta, phi) - sph_harm_y(l, m, theta, phi)).max() < 1e-13
+
+    def test_keeps_the_shape_of_broadcast_angles(self):
+        theta, phi = np.linspace(0.2, 2.8, 6).reshape(2, 3), np.array([0.4, 1.0, 5.0])
+        got = spherical_harmonic(5, -2, theta, phi)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, sph_harm_y(5, -2, theta, phi), rtol=0, atol=1e-14)
+        assert isinstance(spherical_harmonic(3, 1, 0.5, 0.1), complex)
+
     def test_conjugation_exact(self):
         theta = np.linspace(0.1, 3.0, 4)
         phi = np.linspace(0, 6.0, 4)

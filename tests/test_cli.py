@@ -139,6 +139,23 @@ class TestRho2tAndBack:
         assert len(doc["warnings"]) == 1
         assert "minimum eigenvalue -0.25" in doc["warnings"][0]
 
+    @pytest.mark.parametrize("physical", [True, False])
+    def test_one_eigendecomposition_per_state(self, tmp_path, monkeypatch, capsys, physical):
+        from spinaxes import cli
+
+        entries = [{"k": 0, "q": 0, "re": 1.0, "im": 0.0}, {"k": 1, "q": 0, "re": 0.5 if physical else 1.5, "im": 0.0}]
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(json.dumps({"schema_version": 1, "j_doubled": 1, "entries": entries}))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        assert cli.main(["t2rho", str(tensor)]) == 0
+        assert len(calls) == 1
+        assert ("state: physical" in capsys.readouterr().out) is physical
+        assert cli.main(["t2rho", str(tensor), "--json"]) == 0
+        assert len(calls) == 2
+        assert json.loads(capsys.readouterr().out)["physical"] is physical
+
     def test_text_mode_reports_physicality(self, tmp_path):
         state = paper_state_file(tmp_path)
         tensor = tmp_path / "tensor.json"

@@ -29,7 +29,7 @@ from spinaxes import (
     ylm_squared_t,
 )
 from spinaxes import pfunc as pfunc_module
-from spinaxes.pfunc import _grid_legendre_table, _grid_phases, _legendre_table, _ring_tables, _state_grid
+from spinaxes.pfunc import _exact_grid, _grid_legendre_table, _legendre_table, _phases, _ring_tables, _state_grid
 from spinaxes.pfunc import _tensor_and_minimum, _values_on_grid
 from spinaxes.symmetric import BlochVector
 from spinaxes.tensors import _conjugation_mirror
@@ -181,6 +181,12 @@ class TestQuadratureGrid:
         for a in (g.theta, g.phi, g.theta_weights):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_band_limit_grid_is_the_exact_grid_of_twice_the_band_plus_two(self):
+        for b in range(61):
+            g = QuadratureGrid.for_band_limit(b)
+            assert g is _exact_grid(2 * b + 2)
+            assert (g.n_theta, g.n_phi) == (b + 2, 2 * b + 3)
 
     def test_legendre_table_is_built_once_per_grid_and_degree(self):
         g = QuadratureGrid.for_band_limit(13)
@@ -359,6 +365,12 @@ class TestLegendreTable:
             for m in range(l + 1):
                 assert np.abs(table[l, m] - spherical_harmonic(l, m, theta, 0.0).real).max() < 1e-12
             assert not table[l, l + 1 :].any()
+
+    def test_fewer_orders_give_the_same_columns(self):
+        theta = np.linspace(0.0, math.pi, 9)
+        table = _legendre_table(60, theta)
+        for orders in ([0], [5], [60], [0, 3, 7], [2, 59, 60]):
+            np.testing.assert_array_equal(_legendre_table(60, theta, orders), table[:, orders])
 
     def test_degree_cap(self):
         with pytest.raises(DomainError, match="l_max"):
@@ -643,6 +655,11 @@ class TestExpansionWithoutGrid:
         want[0, 0] = math.sqrt(4.0 * math.pi)
         assert np.abs(rings * turns - want).max() < 1e-13
 
+    def test_state_grid_is_the_exact_grid_of_the_larger_band(self):
+        for l_max in (0, 1, 2, 4, 8, 20, 60):
+            for dj in range(61):
+                assert _state_grid(l_max, dj) is _exact_grid(max(l_max + dj, 4 * l_max + 2))
+
     @pytest.mark.parametrize("l_max, dj", [(4, 1), (4, 14), (4, 15), (4, 40), (2, 60), (20, 24)])
     def test_rho_is_the_node_sum_on_its_grid(self, l_max, dj):
         lam = self._positive(500 + dj, l_max)
@@ -655,18 +672,18 @@ class TestRingTables:
 
     def test_caches_are_bounded_and_hold_read_only_tables(self):
         grid = QuadratureGrid.for_band_limit(9)
-        b, e = _ring_tables(grid, 6)
-        assert _ring_tables(grid, 6)[0] is b and _ring_tables(grid, 5)[0] is not b
-        phases = _grid_phases(grid, 3)
-        assert _grid_phases(grid, 3) is phases
-        for cache in (_ring_tables, _grid_phases):
+        b, e = _ring_tables(grid, 6), _phases(grid, 6)
+        assert _ring_tables(grid, 6) is b and _ring_tables(grid, 5) is not b
+        phases = _phases(grid, 3)
+        assert _phases(grid, 3) is phases
+        for cache in (_ring_tables, _phases):
             assert cache.cache_info().maxsize is not None
         for table in (b, e, phases):
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
         np.testing.assert_array_equal(b, coherent_state(h(6), grid.theta, np.zeros_like(grid.theta)).real)
         np.testing.assert_array_equal(e, np.exp(-1j * np.outer(grid.phi, np.arange(-6, 7))))
-        np.testing.assert_array_equal(phases, np.exp(-1j * np.outer(np.arange(-3, 4), grid.phi)))
+        np.testing.assert_array_equal(phases, np.exp(-1j * np.outer(grid.phi, np.arange(-3, 4))))
 
     # both branches of _state_grid: the probe's grid (band 2L) and the smallest exact one
     @pytest.mark.filterwarnings("ignore::spinaxes.NonClassicalWarning")

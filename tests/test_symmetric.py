@@ -20,7 +20,9 @@ from spinaxes import (
     symmetric_subspace_unitary,
     symmetrize_pair,
 )
-from spinaxes.symmetric import _spin_half_cg
+from spinaxes import symmetric as symmetric_module
+from spinaxes.pfunc import _coherent_amplitudes
+from spinaxes.symmetric import _TERM_BLOCK, _spin_half_cg
 
 h = HalfInt
 
@@ -237,6 +239,31 @@ class TestSeparableEnsemble:
         rho = ensemble_to_rho(ens)
         manual = sum(w * product_state_in_jm(d, 4).matrix for w, d in zip(weights, dirs))
         np.testing.assert_allclose(rho.matrix, manual, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 60])
+    @pytest.mark.parametrize("k", [1, 3, 8, 300])
+    def test_is_the_term_ordered_sum_bit_for_bit(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        weights = rng.dirichlet(np.ones(k))
+        dirs = [random_direction(rng) for _ in range(k)]
+        manual = np.zeros((n + 1, n + 1), dtype=complex)
+        for w, d in zip(weights, dirs):
+            manual += w * product_state_in_jm(d, n).matrix
+        rho = ensemble_to_rho(SeparableEnsemble(n, tuple(zip(weights, dirs))))
+        np.testing.assert_array_equal(rho.matrix, manual)
+
+    def test_amplitudes_come_in_bounded_blocks(self, monkeypatch):
+        rows = []
+
+        def spy(dj, theta, phi):
+            rows.append(len(theta))
+            return _coherent_amplitudes(dj, theta, phi)
+
+        monkeypatch.setattr(symmetric_module, "_coherent_amplitudes", spy)
+        k, rng = 2 * _TERM_BLOCK + 5, np.random.default_rng(5)
+        dirs = [random_direction(rng) for _ in range(k)]
+        ensemble_to_rho(SeparableEnsemble(6, tuple((1.0 / k, d) for d in dirs)))
+        assert rows == [_TERM_BLOCK, _TERM_BLOCK, 5]
 
     def test_distinct_directions_mix(self):
         ens = SeparableEnsemble(
