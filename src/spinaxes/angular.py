@@ -75,6 +75,21 @@ def _scaled_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, n
 
 
+def _check_angles(**angles) -> None:
+    """Reject a non-finite angle (scalar or array) by name, before anything is built from it."""
+    for name, value in angles.items():
+        if not np.isfinite(value).all():
+            raise DomainError(f"angle {name} has a non-finite value")
+
+
+@lru_cache(maxsize=None)
+def _root_binomials(n: int) -> np.ndarray:
+    """sqrt(C(n, i)) for i = 0 .. n, read-only, from float binomials (C(n, i) overflows int64 from n = 68)."""
+    b = np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
+    b.setflags(write=False)
+    return b
+
+
 @dataclass(frozen=True)
 class ExactCoefficient:
     """A real number of the form ``sign * sqrt(magnitude_squared)``.
@@ -227,6 +242,7 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Real matrix d^j(beta) with rows and columns ordered m = +j .. -j."""
     j = halfint(j)
     _check_j(j.doubled)
+    _check_angles(beta=beta)
     for d in _d_ladder(j.doubled, beta):
         pass
     return d
@@ -235,6 +251,7 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
 def wigner_D(j, mp, m, phi: float, theta: float, psi: float) -> complex:
     """Wigner D-matrix element D^j_{mp, m}(phi, theta, psi), z-y-z convention."""
     j, mp, m = halfint(j), halfint(mp), halfint(m)
+    _check_angles(phi=phi, theta=theta, psi=psi)
     d = wigner_d(j, mp, m, theta)
     return np.exp(-1j * (float(mp) * phi + float(m) * psi)) * d
 
@@ -242,6 +259,7 @@ def wigner_D(j, mp, m, phi: float, theta: float, psi: float) -> complex:
 def wigner_D_matrix(j, phi: float, theta: float, psi: float) -> np.ndarray:
     """Unitary matrix D^j(phi, theta, psi), rows and columns m = +j .. -j."""
     j = halfint(j)
+    _check_angles(phi=phi, theta=theta, psi=psi)
     d = wigner_d_matrix(j, theta)
     mvals = np.arange(j.doubled, -j.doubled - 1, -2) / 2.0
     return np.exp(-1j * phi * mvals)[:, None] * d * np.exp(-1j * psi * mvals)[None, :]

@@ -51,7 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .angular import _scaled_direction
+from .angular import _root_binomials, _scaled_direction
 from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt
 from .tensors import TensorParams, _rank_layout
@@ -135,18 +135,7 @@ def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
     """
     if not isinstance(k, int) or not 1 <= k <= t.max_rank:
         raise DomainError(f"rank k = {k} outside 1 .. {t.max_rank}")
-    return _root_binomials(k) * t.rank(k)
-
-
-@functools.cache
-def _root_binomials(k: int) -> np.ndarray:
-    """sqrt(C(2k, i)) for i = 0 .. 2k, read-only.
-
-    Float binomials: C(2k, i) overflows int64 from k = 34.
-    """
-    b = np.sqrt([float(math.comb(2 * k, i)) for i in range(2 * k + 1)])
-    b.flags.writeable = False
-    return b
+    return _root_binomials(2 * k) * t.rank(k)
 
 
 @dataclass(frozen=True)
@@ -197,7 +186,7 @@ def _layout(top: int) -> _Layout:
         ranks=ranks,
         k=k,
         q=q,
-        binomials=np.concatenate([_root_binomials(r) for r in ranks.tolist()]),
+        binomials=np.concatenate([_root_binomials(2 * r) for r in ranks.tolist()]),
         ladder=np.sqrt(k * (k + 1) - q * (q + 1)),
         starts=ranks * ranks - 1,
         axis_rank=axis_rank,
@@ -357,7 +346,7 @@ def _residual_floor(coeffs: np.ndarray, z) -> np.ndarray:
     outer = np.abs(z) > 1.0
     powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), len(coeffs), increasing=True)
     value = np.abs(np.where(outer, powers @ coeffs, powers @ coeffs[::-1]))
-    return value / (np.abs(powers) @ _root_binomials((len(coeffs) - 1) // 2))
+    return value / (np.abs(powers) @ _root_binomials(len(coeffs) - 1))
 
 
 def _zonal_axes(flat: np.ndarray, q: np.ndarray, ladder: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -516,7 +505,7 @@ def _stretched_table(units: np.ndarray, counts: np.ndarray, layout: _Layout) -> 
 def _stretched(units: np.ndarray) -> np.ndarray:
     """s^k_q of k unit vectors (rows), q ascending: one row of ``_stretched_rows``."""
     k = len(units)
-    return _stretched_rows(units[None], [k])[0] / _root_binomials(k)
+    return _stretched_rows(units[None], [k])[0] / _root_binomials(2 * k)
 
 
 def axes_to_tensor(axes, k: int) -> np.ndarray:

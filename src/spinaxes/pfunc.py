@@ -30,11 +30,12 @@ on the smallest exact grid for max(b, 4L + 2): the probe's own grid while
 b <= 4L + 2.  Every default grid is a smallest exact product grid,
 floor(D/2) + 1 rings of D + 1 points for degree D, from one bounded cache.
 
-The grid is a product of theta rings and uniform phi, and an amplitude
-factors as b_a(theta) e^{-i m_a phi} with b real, so the state is summed
-one ring at a time:
+The grid is a product of theta rings and uniform phi.  With amplitude a
+sqrt(C(2j, a)) cos^{2j-a} sin^a(theta/2) e^{-i (j - a) phi}, entry (a, c)
+of the state reads theta only through s = a + c and phi through c - a:
 
-    rho_ac = sum_i b_a(theta_i) b_c(theta_i) F_i(c - a),
+    rho_ac = sqrt(C(2j, a) C(2j, c)) H(a + c, c - a),
+    H(s, p) = sum_i cos^{4j-s}(theta_i/2) sin^s(theta_i/2) F_i(p),
     F_i(p) = sum_phi w(theta_i, phi) e^{-i p phi},
 
 with w the normalized node weights times lambda: the same sum over nodes,
@@ -46,11 +47,10 @@ the phases e^{-i m phi} finish every point.
 
 Grids are frozen, their arrays read-only.  Each grid has one table per
 job, cached per grid (grids hash by identity) in bounded caches and
-read-only: its Legendre table per degree (``_grid_legendre_table``), its
-phases e^{-i p phi} per largest order (``_phases``, shared by lambda's
-synthesis, the quadrature of t^k_q and the state's ring sums) and the
-real ring amplitudes b_a(theta_i) per spin.  After the first call on a
-grid, neither route builds a table.
+read-only: its Legendre table per degree (``_grid_legendre_table``) and
+its phases e^{-i p phi} per largest order (``_phases``, shared by lambda's
+synthesis, the quadrature of t^k_q and the state's ring sums).  Only the
+state's half-angle powers, a real (4j + 1) x n_theta table, are per call.
 
 Weight functions are represented either as callables of (theta, phi) or as
 :class:`SphericalExpansion` coefficient tables over conj(Y^l_m).
@@ -67,7 +67,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .angular import MAX_DEGREE, _legendre_table
+from .angular import MAX_DEGREE, _check_angles, _legendre_table, _root_binomials
 from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt
 from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
@@ -84,16 +84,15 @@ _TABLE_ENTRIES = 1 << 21
 def coherent_state(j, theta: float, phi: float) -> np.ndarray:
     """Amplitude vector of |alpha(theta, phi)>, ordered m = +j .. -j."""
     j = _spin(j)
+    _check_angles(theta=theta, phi=phi)
     return _coherent_amplitudes(j.doubled, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
 
 
 def _coherent_amplitudes(dj: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Amplitudes of spin dj/2 along the last axis, for scalar or array angles."""
-    dm = np.arange(dj, -dj - 1, -2)  # doubled m, +j .. -j
-    jp, jm = (dj + dm) // 2, (dj - dm) // 2
-    binom = np.sqrt([float(math.comb(dj, i)) for i in jp])
+    a = np.arange(dj + 1)  # m = j - a, +j .. -j
     c, s, phi = np.cos(theta / 2.0)[..., None], np.sin(theta / 2.0)[..., None], phi[..., None]
-    return binom * c**jp * s**jm * np.exp(-0.5j * dm * phi)
+    return _root_binomials(dj) * c ** (dj - a) * s**a * np.exp(-0.5j * (dj - 2 * a) * phi)
 
 
 def multipole_scale(j, k: int) -> float:
@@ -288,6 +287,8 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
             vals = np.vectorize(lambda a, b: complex(lam(a, b)))(th, ph)
     else:
         raise DomainError(f"cannot evaluate {type(lam).__name__} as a weight function")
+    if not np.isfinite(vals).all():
+        raise ValidationError("weight function takes a non-finite value on the grid")
     if np.abs(vals.imag).max() > REALITY_TOL:
         raise ValidationError("weight function takes complex values on the grid")
     return vals.real
@@ -317,16 +318,6 @@ def _phases(grid: QuadratureGrid, n: int) -> np.ndarray:
     phases = np.exp(-1j * np.outer(grid.phi, np.arange(-n, n + 1)))
     phases.setflags(write=False)
     return phases
-
-
-@lru_cache(maxsize=32)
-def _ring_tables(grid: QuadratureGrid, dj: int) -> np.ndarray:
-    """Read-only real ring amplitudes b[i, a] of the spin-dj/2 coherent state at theta_i, phi = 0,
-    built once per (grid, 2j) for ``rho_from_distribution``; bounded like ``_grid_legendre_table``.
-    """
-    b = np.ascontiguousarray(_coherent_amplitudes(dj, grid.theta, np.zeros_like(grid.theta)).real)
-    b.setflags(write=False)
-    return b
 
 
 def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> np.ndarray:
@@ -447,23 +438,23 @@ def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDen
 
     Summed one theta ring at a time (see the module docstring): one product
     with the grid's cached phase table gives every ring's phi sums F_i(p)
-    for p = -2j .. 2j, and one contraction of them with the cached real
-    ring amplitudes b_a(theta_i) gives rho.  Without an explicit grid, an
-    expansion is checked on the grid of band 2 l_max, as in
-    ``t_from_distribution``, and summed on that grid if it is exact for the
-    integrand's degree l_max + 2j, else on the smallest grid that is.
+    for p = -2j .. 2j, one product of those with the half-angle powers
+    gives H(s, p), and rho_ac reads H at s = a + c, p = c - a.  Without an
+    explicit grid, an expansion is checked on the grid of band 2 l_max, as
+    in ``t_from_distribution``, and summed on that grid if it is exact for
+    the integrand's degree l_max + 2j, else on the smallest grid that is.
     """
     own = grid is None
     j, grid, w, _ = _distribution_weights(lam, j, grid)
     dj = j.doubled
     if own and (state := _state_grid(lam.l_max, dj)) is not grid:
         grid, w = state, state.weights() * _values_on_grid(lam, state)  # the trace below normalizes
-    # amplitude a at (theta, phi) is b[theta, a] e^{-i m_a phi} with m_a = j - a
-    b = _ring_tables(grid, dj)
-    # ring sums f[i, c - a + 2j] = sum_phi w(theta_i, phi) e^{-i (c - a) phi}
+    # ring sums f[i, p + 2j], then h[s, p + 2j] from the half-angle powers [s, i] for s = 0 .. 4j
     f = _real_product(w, _phases(grid, dj))
-    idx = np.arange(dj + 1)
-    rho = np.einsum("ia,ic,iac->ac", b, b, f[:, idx - idx[:, None] + dj])
+    s, half = np.arange(2 * dj + 1)[:, None], grid.theta / 2.0
+    h = _real_product(np.cos(half) ** (2 * dj - s) * np.sin(half) ** s, f)
+    a, root = np.arange(dj + 1), _root_binomials(dj)
+    rho = root[:, None] * h[a[:, None] + a, a - a[:, None] + dj] * root  # s = a + c, p = c - a
     rho = 0.5 * (rho + rho.conj().T)
     rho /= rho.trace().real
     return SpinDensityMatrix(j, rho)

@@ -59,7 +59,7 @@ from typing import Mapping
 import numpy as np
 import warnings
 
-from .angular import MAX_DOUBLED_J, _d_ladder
+from .angular import MAX_DOUBLED_J, _check_angles, _d_ladder
 from .errors import DomainError, NonPhysicalWarning, ValidationError
 from .halfint import HalfInt, dimension, halfint
 
@@ -483,6 +483,7 @@ def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorPar
     stacked product per size class of ranks (``_turn_classes``), with every
     rank zero-padded to its class's width, whatever the angles.
     """
+    _check_angles(phi=phi, theta=theta, psi=psi)
     kmax = t.max_rank
     top, classes = _turn_classes(kmax)
     where, size, spans = _turn_layout(kmax, top)

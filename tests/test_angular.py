@@ -9,6 +9,7 @@ from spinaxes.angular import (
     ExactCoefficient,
     _d_ladder,
     _ladder_weights,
+    _root_binomials,
     cg,
     cg_value,
     spherical_harmonic,
@@ -211,6 +212,19 @@ class TestWignerD:
         with pytest.raises(ValueError):
             r[0, 0] = 2.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_rejected(self, bad):
+        with pytest.raises(DomainError, match="^angle beta has a non-finite value$"):
+            wigner_d_matrix(h(2), bad)
+
+    @pytest.mark.parametrize("name", ["phi", "theta", "psi"])
+    def test_non_finite_euler_angle_is_rejected(self, name):
+        angles = {"phi": 0.3, "theta": 1.2, "psi": -0.5, name: math.inf}
+        with pytest.raises(DomainError, match=f"^angle {name} has a non-finite value$"):
+            wigner_D_matrix(h(2), **angles)
+        with pytest.raises(DomainError, match=f"^angle {name} has a non-finite value$"):
+            wigner_D(h(2), 1, 0, **angles)
+
     def test_same_axis_composition(self):
         for dj in [1, 2, 5]:
             a, b = 0.83, -1.97
@@ -245,6 +259,15 @@ class TestWignerD:
         assert np.abs(d @ d.T - np.eye(61)).max() < 1e-8
         d10 = wigner_d_matrix(h(10), 1.234)
         assert np.abs(d10 @ d10.T - np.eye(11)).max() < 1e-13
+
+
+class TestRootBinomials:
+    def test_squares_are_the_binomials_within_one_ulp(self):
+        for n in range(121):
+            b = _root_binomials(n)
+            c = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+            assert not b.flags.writeable and _root_binomials(n) is b
+            assert (np.abs(b**2 - c) <= np.spacing(c)).all()
 
 
 class TestSphericalHarmonic:

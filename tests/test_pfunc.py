@@ -29,7 +29,7 @@ from spinaxes import (
     ylm_squared_t,
 )
 from spinaxes import pfunc as pfunc_module
-from spinaxes.pfunc import _exact_grid, _grid_legendre_table, _legendre_table, _phases, _ring_tables, _state_grid
+from spinaxes.pfunc import _exact_grid, _grid_legendre_table, _legendre_table, _phases, _state_grid
 from spinaxes.pfunc import _tensor_and_minimum, _values_on_grid
 from spinaxes.symmetric import BlochVector
 from spinaxes.tensors import _conjugation_mirror
@@ -48,6 +48,13 @@ class TestCoherentState:
                 phi = rng.uniform(0.0, 2.0 * math.pi)
                 vec = coherent_state(h(dj), theta, phi)
                 assert np.vdot(vec, vec).real == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "theta, phi, name", [(math.nan, 0.0, "theta"), (0.3, math.inf, "phi"), ([0.1, -math.inf], 0.0, "theta")]
+    )
+    def test_non_finite_angle_is_rejected(self, theta, phi, name):
+        with pytest.raises(DomainError, match=f"^angle {name} has a non-finite value$"):
+            coherent_state(h(3), theta, phi)
 
     def test_poles(self):
         top = coherent_state(h(4), 0.0, 0.0)
@@ -407,6 +414,22 @@ class TestExpansionFromFunction:
 
 
 class TestDistributionRoutes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", ["rho", "t", "expansion"])
+    def test_non_finite_values_stop_at_the_check(self, route, bad):
+        # NaN passes every tolerance comparison, so one bad node must stop before the weights are summed
+        def lam(th, ph):
+            return np.where((th == th.flat[0]) & (ph == 0.0), bad, 1.0 / (4.0 * math.pi))
+
+        grid = QuadratureGrid.build(4, 5)
+        call = {
+            "rho": lambda: rho_from_distribution(lam, h(2), grid),
+            "t": lambda: t_from_distribution(lam, h(2), grid),
+            "expansion": lambda: expansion_from_function(lam, 2),
+        }[route]
+        with pytest.raises(ValidationError, match="^weight function takes a non-finite value on the grid$"):
+            call()
+
     def _random_classical(self, rng, l_max):
         # positive mixture of coherent projectors has a smooth positive weight;
         # build one by shifting a random band-limited function above zero
@@ -672,16 +695,12 @@ class TestRingTables:
 
     def test_caches_are_bounded_and_hold_read_only_tables(self):
         grid = QuadratureGrid.for_band_limit(9)
-        b, e = _ring_tables(grid, 6), _phases(grid, 6)
-        assert _ring_tables(grid, 6) is b and _ring_tables(grid, 5) is not b
-        phases = _phases(grid, 3)
-        assert _phases(grid, 3) is phases
-        for cache in (_ring_tables, _phases):
-            assert cache.cache_info().maxsize is not None
-        for table in (b, e, phases):
+        e, phases = _phases(grid, 6), _phases(grid, 3)
+        assert _phases(grid, 6) is e and _phases(grid, 3) is phases
+        assert _phases.cache_info().maxsize is not None
+        for table in (e, phases):
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
-        np.testing.assert_array_equal(b, coherent_state(h(6), grid.theta, np.zeros_like(grid.theta)).real)
         np.testing.assert_array_equal(e, np.exp(-1j * np.outer(grid.phi, np.arange(-6, 7))))
         np.testing.assert_array_equal(phases, np.exp(-1j * np.outer(grid.phi, np.arange(-3, 4))))
 
@@ -700,6 +719,19 @@ class TestRingTables:
         again = rho_from_distribution(lam, h(dj)).matrix  # from the cached tables
         np.testing.assert_array_equal(again, first)
         assert np.abs(first - want).max() < 1e-14
+
+    @pytest.mark.parametrize("poles", [False, True])
+    def test_half_angle_powers_near_the_poles(self, poles):
+        # the fine rule's outer rings lie within 1.3e-4 of the poles in cos(theta), where
+        # cos^120(theta/2) falls to 1e-251; at 1e-4 rad from a pole it underflows, at a pole sin(0) = 0
+        lam = TestExpansionWithoutGrid._positive(760, 4)
+        grid = QuadratureGrid.build(150, 121)
+        if poles:
+            theta = np.array([0.0, 1e-4, 1.0, 2.0, math.pi - 1e-4, math.pi])
+            grid = QuadratureGrid(theta, grid.phi, np.ones(6))
+            grid = QuadratureGrid(theta, grid.phi, np.ones(6) / grid.integrate(lam.evaluate(*grid.mesh()).real))
+        rho = rho_from_distribution(lam, h(60), grid).matrix
+        assert np.abs(rho - TestDistributionRoutes._by_nodes(lam, 60, grid)).max() < 1e-14
 
 
 class TestTensorAndMinimum:

@@ -415,6 +415,12 @@ class TestRotation:
             rotated = SpinDensityMatrix(h(dj), u @ rho.matrix @ u.conj().T)
             assert rho_to_t(rotated).max_abs_diff(rotate_t(rho_to_t(rho), 0.8, theta, -2.2)) < 1e-13
 
+    @pytest.mark.parametrize("angles, name", [((math.nan, 0.0, 0.0), "phi"), ((0.0, math.inf, 0.0), "theta"),
+                                              ((0.0, 0.0, -math.inf), "psi")])
+    def test_non_finite_angle_is_rejected(self, angles, name):
+        with pytest.raises(DomainError, match=f"^angle {name} has a non-finite value$"):
+            rotate_t(rho_to_t(maximally_mixed(h(4))), *angles)
+
     def test_quarter_turn_tables_are_read_only(self):
         rotate_t(rho_to_t(maximally_mixed(h(8))), 0.1, 0.2, 0.3)
         tables = _quarter_turns(8)
