@@ -305,6 +305,7 @@ def spherical_harmonic(l: int, m: int, theta, phi):
         raise DomainError(f"degree l = {l} outside the supported range")
     if abs(m) > l:
         raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")
+    _check_angles(theta=theta, phi=phi)
     if m < 0:
         y = spherical_harmonic(l, -m, theta, phi)
         return np.conj(y) if (-m) % 2 == 0 else -np.conj(y)

@@ -16,8 +16,8 @@ projecting t onto s recovers a signed radius.  The decomposition is
 
 with the stored radius = |r_k| and the sign kept alongside.
 
-``extract_mar`` runs each step that costs O(k) per rank as one pass over
-the whole flat table, and per rank only the steps that cost O(k^2):
+``extract_mar`` runs every step as one pass over the whole flat table,
+except the companion solve, which runs per rank:
 
 1. Zonal pass.  An exact k-fold axis, as in product states, comes back from
    the companion matrix as k roots scattered by about eps^(1/k), so every
@@ -26,11 +26,13 @@ the whole flat table, and per rank only the steps that cost O(k^2):
    a polynomial vanishing there, so its residual is at least the floor
    |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i); only ranks whose floor passes
    build the k-fold fit.  The floor only skips trials, never accepts one.
-2. Per rank.  Every other nonzero rank solves its companion matrix once and
-   pairs its roots greedily by nearest antipode; each pair is one axis.
-   Where two of its axes lie within 0.5 rad, they join, nearest first, and
-   each join tries its group at the mean of its roots, behind the same
-   floor, kept when the block still rebuilds within the bound.
+2. Root pass.  Every other nonzero rank solves its companion matrix once;
+   the companion rows come from one table, and one stacked Gram matrix
+   pairs every rank's roots by nearest antipode; each pair is one axis.
+   Axes of one rank within 0.5 rad join, nearest first, and every join of
+   the table gets its mean root and the same floor at once; a join whose
+   floor passes is tried, rank by rank in join order, and kept when the
+   block still rebuilds within the bound.
 3. Final pass.  Every axis is canonicalized and sorted at once, every
    stretched tensor comes from one three-term recurrence over the axis
    index, and every radius is fitted at once.
@@ -51,7 +53,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .angular import _root_binomials, _scaled_direction
+from .angular import _check_angles, _root_binomials, _scaled_direction
 from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt
 from .tensors import TensorParams, _rank_layout
@@ -78,6 +80,9 @@ class Axis:
     theta: float
     phi: float
 
+    def __post_init__(self) -> None:
+        _check_angles(theta=self.theta, phi=self.phi)
+
     @property
     def unit_vector(self) -> np.ndarray:
         return _unit_vectors(self.theta, self.phi)
@@ -103,9 +108,8 @@ def _unit_vectors(theta, phi) -> np.ndarray:
 def _canonical(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(theta, phi) of the canonical axis of each row of u (n, 3); see ``Axis.from_direction``."""
     v, n = _scaled_direction(u)
-    x, y, z = (v / n[:, None]).T
-    flip = np.where(z < -EQUATOR_TOL, -1.0, 1.0)
-    x, y, z = flip * x, flip * y, flip * z
+    v = v / n[:, None]
+    x, y, z = (v * np.where(v[:, 2:] < -EQUATOR_TOL, -1.0, 1.0)).T
     # a tiny negative y would leave phi at or within rounding below 2 pi; snapping
     # it to phi = 0 moves the direction by |y|, so only |y| < 1e-15 snaps
     phi = np.where((x > 0.0) & (-1e-15 < y) & (y < 0.0), 0.0, np.arctan2(y, x) % (2 * math.pi))
@@ -124,7 +128,12 @@ def _sorted_axes(directions: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray,
 
 
 def _axis_list(theta: np.ndarray, phi: np.ndarray) -> list:
-    return [Axis(a, b) for a, b in zip(theta.tolist(), phi.tolist())]
+    """Axes of finite canonical angles, built without the check of ``Axis.__post_init__``."""
+    axes = [Axis.__new__(Axis) for _ in range(len(theta))]
+    for axis, a, b in zip(axes, theta.tolist(), phi.tolist()):
+        fields = axis.__dict__
+        fields["theta"], fields["phi"] = a, b
+    return axes
 
 
 def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
@@ -143,8 +152,7 @@ class _Layout:
     """Read-only index tables of ranks 1 .. top, built once per top by ``_layout``.
 
     Rank k's entries are ``entries(k)`` of the flat table without rank 0,
-    its k axes ``axes(k)`` of an axis table, its 2k roots ``roots(k)`` of a
-    root table, and its pairs of axes ``axis_pairs(k)`` of ``pairs``.
+    and its k axes ``axes(k)`` of an axis table.
     """
 
     ranks: np.ndarray  # 1 .. top
@@ -164,15 +172,6 @@ class _Layout:
     @staticmethod
     def axes(k: int) -> slice:
         return slice(k * (k - 1) // 2, k * (k + 1) // 2)
-
-    @staticmethod
-    def roots(k: int) -> slice:
-        return slice(k * (k - 1), k * (k + 1))
-
-    @staticmethod
-    def axis_pairs(k: int) -> slice:
-        # ranks below k have sum_j j(j-1)/2 = C(k, 3) pairs
-        return slice(math.comb(k, 3), math.comb(k, 3) + k * (k - 1) // 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,7 +214,10 @@ def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
         raise DomainError("need a coefficient vector of degree at least one")
     if not c.any():
         raise DomainError("the zero polynomial has no root set")
-    raw = _raw_roots(c)
+    first, lead, last = _companions(c[None])
+    companion = np.eye(last[0] - lead[0], k=-1, dtype=complex)
+    companion[:1] = first[0, : len(companion)]
+    raw = np.concatenate([np.linalg.eigvals(companion), np.zeros(len(c) - 1 - last[0], dtype=complex)])
     merged, left = [], raw
     while len(left):
         near = np.abs(left - left[0]) <= ROOT_CLUSTER_RTOL * np.maximum(np.abs(left), max(1.0, abs(left[0])))
@@ -224,20 +226,23 @@ def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
     return merged, len(c) - 1 - len(raw)
 
 
-def _raw_roots(c: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots of a nonzero complex polynomial, highest degree first.
+def _companions(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First companion rows of nonzero polynomials (rows of ``table``, highest degree first).
 
-    The matrix divides by the leading coefficient, so one below the float
-    range relative to the largest counts as zero; exactly zero trailing
-    coefficients give roots at zero.  It is the matrix ``np.roots`` builds.
+    Each row is divided by its largest coefficient, so a leading one below
+    the float range counts as zero; row r drops its ``lead[r]`` leading
+    coefficients (roots at infinity) and keeps coefficients up to
+    ``last[r]``, its last nonzero one (the rest are roots at zero).  Its
+    companion matrix, the one ``np.roots`` builds, has the first row
+    ``first[r, :last[r] - lead[r]]``.
     """
-    c = c / np.abs(c).max()
-    c = c[np.argmax(np.abs(c) >= np.finfo(float).tiny) :]
-    nonzero = np.flatnonzero(c)
-    c, zeros = c[: nonzero[-1] + 1], len(c) - 1 - nonzero[-1]
-    companion = np.eye(len(c) - 1, k=-1, dtype=complex)
-    companion[:1] = -c[1:] / c[0]
-    return np.concatenate([np.linalg.eigvals(companion), np.zeros(zeros, dtype=complex)])
+    c = table / np.abs(table).max(axis=1)[:, None]
+    width = c.shape[1]
+    lead = np.argmax(np.abs(c) >= np.finfo(float).tiny, axis=1)
+    last = width - 1 - np.argmax(c[:, ::-1] != 0, axis=1)
+    row = np.arange(len(c))
+    index = np.minimum(lead[:, None] + np.arange(1, width), width - 1)
+    return -c[row[:, None], index] / c[row, lead][:, None], lead, last
 
 
 def _sphere_points(z: np.ndarray) -> np.ndarray:
@@ -248,28 +253,33 @@ def _sphere_points(z: np.ndarray) -> np.ndarray:
     return _unit_vectors(2.0 * np.arctan(np.abs(z)), np.angle(z))
 
 
-def _antipodal_pairs(points: np.ndarray) -> np.ndarray:
-    """Pair each point greedily with the free point nearest its antipode: (n/2, 2) index pairs.
+def _antipodal_pairs(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Pair the first counts[r] points of each row r of points (R, n, 3), each point greedily with the
+    free point nearest its antipode: (sum(counts) / 2, 2) flat indices into the rows, row by row.
 
-    When the map from each point to its nearest antipode is an involution,
+    Where the map from each point to its nearest antipode is an involution,
     its pairs are the greedy ones: each partner is still free at its turn.
+    Only the other rows run the greedy loop, which writes its partners
+    into that map.
     """
-    gram = points @ points.T
-    index = np.arange(len(points))
-    gram[index, index] = np.inf
-    nearest = gram.argmin(axis=1)
-    if (nearest[nearest] == index).all():
-        first = np.flatnonzero(index < nearest)
-        return np.stack([first, nearest[first]], axis=1)
-    free = np.ones(len(points), dtype=bool)
-    pairs = []
-    for a in range(len(points)):
-        if free[a]:
-            free[a] = False
-            b = int(np.argmin(np.where(free, gram[a], np.inf)))
-            free[b] = False
-            pairs.append((a, b))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
+    rows, n = points.shape[:2]
+    col = np.arange(n)
+    valid = col < counts[:, None]
+    gram = points @ points.transpose(0, 2, 1)
+    gram[:, col, col] = np.inf
+    gram += np.where(valid, 0.0, np.inf)[:, None]
+    nearest = gram.argmin(axis=2)
+    base = np.arange(rows)[:, None]
+    for r in np.flatnonzero(~((nearest[base, nearest] == col) | ~valid).all(axis=1)).tolist():
+        free = valid[r].copy()
+        for a in range(counts[r]):
+            if free[a]:
+                free[a] = False
+                b = int(np.argmin(np.where(free, gram[r, a], np.inf)))
+                free[b] = False
+                nearest[r, a], nearest[r, b] = b, a
+    first = valid & (col < nearest)
+    return np.stack([(base * n + col)[first], (base * n + nearest)[first]], axis=1)
 
 
 def _pair_vectors(points: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +306,7 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
         raise DomainError(f"got {len(z)} roots in total, expected 2k = {2 * k}")
     z = np.array(z, dtype=complex)
     points = _sphere_points(z)
-    pairs = _antipodal_pairs(points)
+    pairs = _antipodal_pairs(points[None], np.array([2 * k]))
     directions, gaps = _pair_vectors(points, pairs)
     bad = np.flatnonzero(gaps > PAIRING_TOL)
     if bad.size:
@@ -309,44 +319,25 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     return _axis_list(*_sorted_axes(directions, np.zeros(k, dtype=int)))
 
 
-def _cluster_roots(z: np.ndarray, points: np.ndarray, pairs: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Mean root of each group of pairs (rows of the boolean ``groups``), taken
-    on one side of it: of each pair, the root nearer the group's first
-    upper-hemisphere root, or its first root if none is.  The mean is a
-    symmetric function of the cluster, so it keeps the accuracy its
-    scattered members lose; the -1/conj(Z) images would not (that map is
-    anti-holomorphic)."""
-    ends = np.repeat(groups, 2, axis=1)
-    upper = ends & (points[pairs.ravel(), 2] >= 0.0)
-    ref = points[pairs.ravel()[np.where(upper.any(axis=1), np.argmax(upper, axis=1), np.argmax(ends, axis=1))]]
-    near = np.where(points[pairs[:, 0]] @ ref.T >= points[pairs[:, 1]] @ ref.T, pairs[:, :1], pairs[:, 1:]).T
-    # np.mean of each group's own roots, for all groups of one size at once (a
-    # zero-padded row sum would add them in another order)
-    rows, cols = np.nonzero(groups)
-    roots = z[near[rows, cols]]
-    sizes = groups.sum(axis=1)
-    starts = np.cumsum(sizes) - sizes
-    means = np.empty(len(groups), dtype=complex)
-    for m in np.flatnonzero(np.bincount(sizes)):
-        same = np.flatnonzero(sizes == m)
-        means[same] = np.mean(roots[starts[same, None] + np.arange(m)], axis=1)
-    return means
+def _residual_floors(coeffs, z: np.ndarray, entries, owner: np.ndarray, starts: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Lower bound on the fit residual of every block rebuilt with an axis at each z[g].
 
-
-def _residual_floor(coeffs: np.ndarray, z) -> np.ndarray:
-    """Lower bound on the fit residual of every block rebuilt with an axis at each Z.
-
-    Such a block's polynomial vanishes at Z, so for every radius r
+    Block g is the rank whose entries of the flat table are the segment of
+    ``entries`` at ``starts[g]`` (``owner`` names each entry's block), and
+    ``coeffs`` the flat table of the ranks' polynomials.  Such a block's
+    polynomial vanishes at Z, so for every radius r
     |P_t(Z)| = |sum_i sqrt(C(2k, i)) (t - r s)_{i-k} Z^(2k-i)|
              <= max_q |t_q - r s_q| * sum_i sqrt(C(2k, i)) |Z|^(2k-i).
     Beyond the unit circle both sums are taken at 1/Z on the reversed
     coefficients (the binomials are symmetric), so Z = inf gives |t^k_{-k}|.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
     outer = np.abs(z) > 1.0
-    powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), len(coeffs), increasing=True)
-    value = np.abs(np.where(outer, powers @ coeffs, powers @ coeffs[::-1]))
-    return value / (np.abs(powers) @ _root_binomials(len(coeffs) - 1))
+    k, q = layout.k[entries], layout.q[entries]
+    powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), 2 * len(layout.ranks) + 1, increasing=True)
+    powers = powers[owner, np.where(outer[owner], k + q, k - q)]
+    floors = np.abs(np.add.reduceat(coeffs[entries] * powers, starts))
+    floors /= np.add.reduceat(layout.binomials[entries] * np.abs(powers), starts)
+    return floors
 
 
 def _zonal_axes(flat: np.ndarray, q: np.ndarray, ladder: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -357,36 +348,24 @@ def _zonal_axes(flat: np.ndarray, q: np.ndarray, ladder: np.ndarray, starts: np.
     the null space of Re <V_a t, V_b t>.  Every entry weighs in by its
     size, so rounding in the tiny extreme-q entries cannot spoil it.
     """
-    raised = np.zeros_like(flat)
-    raised[1:] = ladder[:-1] * flat[:-1]
-    lowered = np.zeros_like(flat)
-    lowered[:-1] = ladder[:-1] * flat[1:]
+    raised = np.concatenate([[0.0], ladder[:-1] * flat[:-1]])
+    lowered = np.concatenate([ladder[:-1] * flat[1:], [0.0]])
     v = np.stack([(raised + lowered) / 2, (lowered - raised) / 2j, q * flat])
     products = np.einsum("ai,bi->iab", v.real, v.real)
     products += np.einsum("ai,bi->iab", v.imag, v.imag)
     return np.linalg.eigh(np.add.reduceat(products, starts))[1][:, :, 0]
 
 
-def _zonal_axis(block: np.ndarray) -> np.ndarray:
-    """``_zonal_axes`` of one rank block, q ascending."""
-    k = (len(block) - 1) // 2
-    layout, rank = _layout(k), _Layout.entries(k)
-    return _zonal_axes(block, layout.q[rank], layout.ladder[rank], np.zeros(1, dtype=int))[0]
-
-
 def _zonal_pass(flat, coeffs, nonzero, bound, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """Every rank's zonal axis, and whether the rank is that axis k times.
 
     Only ranks whose residual floor at the root Z = (x + iy)/(1 + z) of the
-    upper end of their zonal axis is within the bound build the k-fold fit;
-    there |Z| <= 1, so the floor needs no reversal.
+    upper end of their zonal axis is within the bound build the k-fold fit.
     """
-    k, q, starts = layout.k, layout.q, layout.starts
-    zonal = _zonal_axes(flat, q, layout.ladder, starts)
+    k, starts = layout.k, layout.starts
+    zonal = _zonal_axes(flat, layout.q, layout.ladder, starts)
     x, y, w = (zonal * np.where(zonal[:, 2:] >= 0.0, 1.0, -1.0)).T
-    powers = np.vander((x + 1j * y) / (1.0 + w), 2 * len(zonal) + 1, increasing=True)[k - 1, k - q]
-    floors = np.abs(np.add.reduceat(coeffs * powers, starts))
-    floors /= np.add.reduceat(layout.binomials * np.abs(powers), starts)
+    floors = _residual_floors(coeffs, (x + 1j * y) / (1.0 + w), slice(None), k - 1, starts, layout)
     tried = np.flatnonzero(nonzero & (floors <= bound))
     single = np.zeros(len(zonal), dtype=bool)
     if tried.size:
@@ -399,72 +378,88 @@ def _zonal_pass(flat, coeffs, nonzero, bound, layout: _Layout) -> tuple[np.ndarr
     return zonal, single
 
 
-def _root_pass(flat, coeffs, bound, ranks: list, directions: np.ndarray, layout: _Layout) -> None:
-    """Axes of the given ranks from the roots of their polynomials, into their rows of ``directions``.
+def _joins(z, points, pairs, directions, chosen, layout: _Layout) -> tuple[list, np.ndarray, np.ndarray]:
+    """The joins of close axes of the chosen ranks, the rank of each, and each one's mean root.
 
-    Per rank: the companion solve and the greedy pairing; over the table:
-    the points, the axes and their angles; per rank where two axes lie
-    within 0.5 rad: ``_collapse``.  No axis is judged here; ``extract_mar``
-    judges every rank by its final residual.
+    Axes of one rank closer than 0.5 rad join, nearest first, rank by rank;
+    each join is the sorted list of the axis rows its group then holds, and
+    ``pairs`` gives each axis row's two roots in the flat ``z``.  The mean is
+    taken on one side of a join: of each pair, the root nearer the join's
+    first upper-hemisphere root, or its first root if none is.  It is a
+    symmetric function of the cluster, so it keeps the accuracy its
+    scattered members lose; the -1/conj(Z) images would not (that map is
+    anti-holomorphic).
     """
-    z = np.full(2 * len(directions), complex(math.inf))
-    for k in ranks:
-        raw = _raw_roots(coeffs[layout.entries(k)])
-        z[k * (k - 1) : k * (k - 1) + len(raw)] = raw
-    points = _sphere_points(z)
-    pairs = np.zeros((len(directions), 2), dtype=int)
-    for k in ranks:
-        pairs[layout.axes(k)] = _antipodal_pairs(points[layout.roots(k)]) + k * (k - 1)
-    chosen = np.zeros(len(layout.ranks) + 1, dtype=bool)
-    chosen[ranks] = True
-    rows = np.flatnonzero(chosen[layout.axis_rank])
-    units = _pair_vectors(points, pairs[rows])[0]
-    directions[rows] = units / np.linalg.norm(units, axis=1)[:, None]
     a, b = layout.pairs.T
     angle = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", directions[a], directions[b])), 1.0))
-    clustered = np.zeros_like(chosen)
-    clustered[layout.axis_rank[a[angle < _CLUSTER_WINDOW]]] = True
-    for k in np.flatnonzero(clustered & chosen).tolist():
-        entries, axes, roots, axis_pairs = layout.entries(k), layout.axes(k), layout.roots(k), layout.axis_pairs(k)
-        _collapse(
-            flat[entries],
-            coeffs[entries],
-            float(bound[k - 1]),
-            z[roots],
-            points[roots],
-            pairs[axes] - k * (k - 1),
-            directions[axes],
-            layout.pairs[axis_pairs] - axes.start,
-            angle[axis_pairs],
-        )
+    close = np.flatnonzero((angle < _CLUSTER_WINDOW) & chosen[layout.axis_rank[a]])
+    if not close.size:
+        return [], np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
+    group, members, joins = list(range(len(directions))), [[i] for i in range(len(directions))], []
+    for x, y in layout.pairs[close[np.lexsort((angle[close], layout.axis_rank[a[close]]))]].tolist():
+        gx, gy = group[x], group[y]
+        if gx != gy:
+            for m in members[gy]:
+                group[m] = gx
+            members[gx] += members[gy]
+            joins.append(sorted(members[gx]))
+    sizes = np.array([len(j) for j in joins])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(joins)), sizes)
+    rows = np.array([r for j in joins for r in j])
+    ends = pairs[rows]
+    flat_ends = ends.ravel()
+    upper = np.minimum.reduceat(np.where(points[flat_ends, 2] >= 0.0, np.arange(ends.size), ends.size), 2 * starts)
+    ref = points[flat_ends[np.where(upper < ends.size, upper, 2 * starts)]]
+    near = np.where(np.einsum("ij,ij->i", points[ends[:, 0]] - points[ends[:, 1]], ref[owner]) >= 0.0, *ends.T)
+    # np.mean of each join's roots: a zero ahead of each segment makes its sum the one np.add.reduce forms
+    padded = np.zeros(len(rows) + len(joins), dtype=complex)
+    padded[np.arange(len(rows)) + owner + 1] = z[near]
+    return joins, layout.axis_rank[rows[starts]], np.add.reduceat(padded, starts + np.arange(len(joins))) / sizes
 
 
-def _collapse(block, coeffs, bound: float, z, points, pairs, units, axis_pairs, angle) -> None:
-    """Collapse clusters of one rank's axes, the rows of ``units`` (changed in place).
+def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layout: _Layout) -> None:
+    """Axes of the ranks ks from the roots of their polynomials, into their rows of ``directions``.
 
-    ``z`` are the rank's 2k roots, ``points`` their unit vectors, ``pairs``
-    their pairs, and ``angle`` the angle of each pair of axes in
-    ``axis_pairs``.  Axes closer than 0.5 rad join, nearest first, and each
-    join tries its group at the mean of its roots (``_cluster_roots``),
-    kept when the block still rebuilds within ``bound``.  A trial whose
-    residual floor exceeds the bound is skipped before it is built.
+    Only the companion solve runs per rank.  Over the table: the companion
+    rows, a root table padded with roots at infinity, the pairing, the
+    axes, and the joins of close axes with their mean roots and residual
+    floors.  Each join whose floor is within its rank's bound is tried,
+    rank by rank in join order, and kept when the block still rebuilds
+    within the bound.  No axis is judged here; ``extract_mar`` judges every
+    rank by its final residual.
     """
-    close = np.flatnonzero(angle < _CLUSTER_WINDOW)
-    group = np.arange(len(units))
-    joins = []
-    for a, b in axis_pairs[close[np.argsort(angle[close], kind="stable")]].tolist():
-        ga, gb = group[a], group[b]
-        if ga != gb:
-            group[group == gb] = ga
-            joins.append(group == ga)
-    joins = np.array(joins)
-    roots = _cluster_roots(z, points, pairs, joins)
-    kept = _residual_floor(coeffs, roots) <= bound
-    for members, point in zip(joins[kept], _sphere_points(roots[kept])):
-        trial = units.copy()
-        trial[members] = point
-        if fit_radius(block, _stretched(trial))[1] <= bound:
-            units[members] = point
+    col = np.arange(2 * ks[-1] + 1)
+    index = np.where(col <= 2 * ks[:, None], layout.starts[ks - 1, None] + col, len(coeffs))
+    first, lead, last = _companions(np.append(coeffs, 0.0)[index])
+    z = np.where(col[:-1] < (2 * ks - lead)[:, None], 0j, complex(math.inf))
+    companion = np.eye(len(col) - 1, k=-1, dtype=complex)  # each rank's is its top-left block, first row rewritten
+    for roots, row, n in zip(z, first, (last - lead).tolist()):
+        companion[0, :n] = row[:n]
+        roots[:n] = np.linalg.eigvals(companion[:n, :n])
+    stack = _sphere_points(z)
+    pairs = np.zeros((len(directions), 2), dtype=int)
+    chosen = np.zeros(len(layout.ranks) + 1, dtype=bool)
+    chosen[ks] = True
+    rows = np.flatnonzero(chosen[layout.axis_rank])
+    pairs[rows] = found = _antipodal_pairs(stack, 2 * ks)
+    points, z = stack.reshape(-1, 3), z.ravel()
+    units = points[found[:, 0]] - points[found[:, 1]]
+    directions[rows] = units / np.linalg.norm(units, axis=1)[:, None]
+    joins, join_ranks, means = _joins(z, points, pairs, directions, chosen, layout)
+    if not joins:
+        return
+    sizes = 2 * join_ranks + 1
+    owner = np.repeat(np.arange(len(joins)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    entries = np.arange(len(owner)) + (layout.starts[join_ranks - 1] - starts)[owner]
+    tried = np.flatnonzero(_residual_floors(coeffs, means, entries, owner, starts, layout) <= bound[join_ranks - 1])
+    for g, point in zip(tried.tolist(), _sphere_points(means[tried])):
+        k, members = int(join_ranks[g]), joins[g]
+        trial = directions[layout.axes(k)].copy()
+        trial[np.array(members) - layout.axes(k).start] = point
+        if fit_radius(flat[layout.entries(k)], _stretched(trial))[1] <= bound[k - 1]:
+            directions[members] = point
 
 
 def _stretched_rows(units: np.ndarray, counts) -> np.ndarray:
@@ -476,22 +471,21 @@ def _stretched_rows(units: np.ndarray, counts) -> np.ndarray:
     quadratic 1, which leaves it exactly as it was.
     """
     rows, width = units.shape[:2]
-    x, y, z = np.moveaxis(units, 2, 0)
+    x, y, z = units.transpose(2, 1, 0)
     r2 = math.sqrt(2.0)
-    past = np.arange(width) >= np.asarray(counts)[:, None]
+    past = np.arange(width)[:, None] >= np.asarray(counts)
     lo = np.where(past, 1.0, (x - 1j * y) / r2)
     mid = np.where(past, 0.0, r2 * z)
     hi = np.where(past, 0.0, -(x + 1j * y) / r2)
-    prod = np.zeros((rows, 2 * width + 1), dtype=complex)
-    prod[:, 0] = 1.0
-    for i in range(width):
-        n = 2 * i + 1
-        with_mid = prod[:, :n] * mid[:, i, None]
-        with_hi = prod[:, :n] * hi[:, i, None]
-        prod[:, :n] *= lo[:, i, None]
-        prod[:, 1 : n + 1] += with_mid
-        prod[:, 2 : n + 2] += with_hi
-    return prod
+    prod = np.zeros((2 * width + 1, rows), dtype=complex)  # the transpose: each step's slices are contiguous
+    prod[0] = 1.0
+    for n, l, m, h in zip(range(1, 2 * width, 2), lo, mid, hi):
+        with_mid = prod[:n] * m
+        with_hi = prod[:n] * h
+        prod[:n] *= l
+        prod[1 : n + 1] += with_mid
+        prod[2 : n + 2] += with_hi
+    return prod.T
 
 
 def _stretched_table(units: np.ndarray, counts: np.ndarray, layout: _Layout) -> np.ndarray:
@@ -621,7 +615,9 @@ def extract_mar(t: TensorParams) -> MarDecomposition:
     coeffs = layout.binomials * flat
     zonal, single = _zonal_pass(flat, coeffs, nonzero, bound, layout)
     directions = np.repeat(zonal, layout.ranks, axis=0)
-    _root_pass(flat, coeffs, bound, (np.flatnonzero(nonzero & ~single) + 1).tolist(), directions, layout)
+    ks = np.flatnonzero(nonzero & ~single) + 1
+    if ks.size:
+        _root_pass(flat, coeffs, bound, ks, directions, layout)
 
     # every axis of the table at once: canonical, sorted, fitted, and judged
     theta, phi = _sorted_axes(directions, layout.axis_rank)
@@ -649,6 +645,9 @@ def collinearity_check(m: MarDecomposition, tol: float = 1e-8) -> bool:
     """True when all axes across ranks with nonzero radius share one line."""
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tolerance must be finite and non-negative, got {tol!r}")
-    angles = np.array([(a.theta, a.phi) for e in m.ranks if e.radius > tol for a in e.axes]).reshape(-1, 2)
-    v = _unit_vectors(angles[:, 0], angles[:, 1])
+    axes = [a for e in m.ranks if e.radius > tol for a in e.axes]
+    v = _unit_vectors(np.array([a.theta for a in axes]), np.array([a.phi for a in axes]))
+    # one axis off the line of the first decides without every pair
+    if len(v) and not (np.abs(v @ v[0]) >= 1.0 - tol).all():
+        return False
     return bool((np.abs(v @ v.T) >= 1.0 - tol).all())

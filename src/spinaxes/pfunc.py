@@ -240,6 +240,7 @@ class SphericalExpansion:
 
     def evaluate(self, theta, phi) -> np.ndarray:
         """lambda(theta, phi) for scalar or array angles."""
+        _check_angles(theta=theta, phi=phi)
         theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
         # points on a grid share their theta; the table needs each only once
         nodes, where = np.unique(theta.ravel(), return_inverse=True)
@@ -318,6 +319,17 @@ def _phases(grid: QuadratureGrid, n: int) -> np.ndarray:
     phases = np.exp(-1j * np.outer(grid.phi, np.arange(-n, n + 1)))
     phases.setflags(write=False)
     return phases
+
+
+@lru_cache(maxsize=32)
+def _state_indices(dj: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of ``rho_from_distribution`` at spin dj/2: the powers s and 2 dj - s of
+    sin and cos (a column), and the flat index of H[s, p + 2j] at s = a + c, p = c - a."""
+    s, a = np.arange(2 * dj + 1)[:, None], np.arange(dj + 1)
+    tables = s, 2 * dj - s, (a[:, None] + a) * (2 * dj + 1) + a - a[:, None] + dj
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> np.ndarray:
@@ -449,12 +461,12 @@ def rho_from_distribution(lam, j, grid: QuadratureGrid | None = None) -> SpinDen
     dj = j.doubled
     if own and (state := _state_grid(lam.l_max, dj)) is not grid:
         grid, w = state, state.weights() * _values_on_grid(lam, state)  # the trace below normalizes
-    # ring sums f[i, p + 2j], then h[s, p + 2j] from the half-angle powers [s, i] for s = 0 .. 4j
+    # ring sums f[i, p + 2j], then h[s, p + 2j] from the half-angle powers [s, i] for s = 0 .. 4j, read
+    # at s = a + c, p = c - a through the spin's cached flat index
     f = _real_product(w, _phases(grid, dj))
-    s, half = np.arange(2 * dj + 1)[:, None], grid.theta / 2.0
-    h = _real_product(np.cos(half) ** (2 * dj - s) * np.sin(half) ** s, f)
-    a, root = np.arange(dj + 1), _root_binomials(dj)
-    rho = root[:, None] * h[a[:, None] + a, a - a[:, None] + dj] * root  # s = a + c, p = c - a
+    s, rest, index = _state_indices(dj)
+    half, root = grid.theta / 2.0, _root_binomials(dj)
+    rho = root[:, None] * _real_product(np.cos(half) ** rest * np.sin(half) ** s, f).take(index) * root
     rho = 0.5 * (rho + rho.conj().T)
     rho /= rho.trace().real
     return SpinDensityMatrix(j, rho)

@@ -229,7 +229,17 @@ class SpinDensityMatrix:
 
     @property
     def is_physical(self) -> bool:
-        """True when no eigenvalue lies below -1e-10."""
+        """True when no eigenvalue lies below -1e-10.
+
+        One Cholesky factorization of rho - PSD_FLOOR I decides it; only a
+        matrix it rejects is diagonalized, unless its eigenvalues are known.
+        """
+        if "_lowest_eigenvalue" not in self.__dict__:
+            try:
+                np.linalg.cholesky(self.matrix - PSD_FLOOR * np.eye(len(self.matrix)))
+                return True
+            except np.linalg.LinAlgError:
+                pass
         return self.min_eigenvalue() >= PSD_FLOOR
 
 

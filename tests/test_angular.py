@@ -271,6 +271,12 @@ class TestRootBinomials:
 
 
 class TestSphericalHarmonic:
+    @pytest.mark.parametrize("m", [1, -1])
+    @pytest.mark.parametrize("theta, phi, name", [(math.nan, 0.0, "theta"), (0.3, math.inf, "phi")])
+    def test_non_finite_angle_is_rejected(self, m, theta, phi, name):
+        with pytest.raises(DomainError, match=f"^angle {name} has a non-finite value$"):
+            spherical_harmonic(2, m, theta, phi)
+
     def test_low_order_closed_forms(self):
         th, ph = 1.1, -0.4
         assert spherical_harmonic(0, 0, th, ph) == pytest.approx(0.5 / math.sqrt(math.pi), abs=1e-15)

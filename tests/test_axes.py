@@ -69,6 +69,11 @@ class TestAxisCanonicalization:
         a = Axis.from_direction([0.0, 0.0, 7.5])
         assert a.theta == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("theta, phi, name", [(math.nan, 0.0, "theta"), (0.3, math.inf, "phi")])
+    def test_non_finite_angle_rejected(self, theta, phi, name):
+        with pytest.raises(DomainError, match=f"^angle {name} has a non-finite value$"):
+            Axis(theta, phi)
+
     def test_antipodal_inputs_agree(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -492,44 +497,45 @@ class TestResidualFloor:
     @pytest.mark.parametrize("dj", [4, 12, 24, 40])
     def test_floor_is_below_every_trial_residual(self, dj, monkeypatch):
         t = self.generic_table(dj)
-        cluster_roots, seen = axes._cluster_roots, []
+        joins, seen = axes._joins, []
 
-        def recording(z, points, pairs, groups):
-            roots = cluster_roots(z, points, pairs, groups)
-            seen.append((points, pairs, groups, roots))
-            return roots
+        def recording(z, points, pairs, directions, chosen, layout):
+            found = joins(z, points, pairs, directions, chosen, layout)
+            seen.append((directions.copy(), *found))
+            return found
 
-        monkeypatch.setattr(axes, "_cluster_roots", recording)
+        monkeypatch.setattr(axes, "_joins", recording)
         extract_mar(t)
-        assert seen or dj == 4  # no two axes of that state lie within the window
-        for points, pairs, groups, roots in seen:
-            k = groups.shape[1]
-            block = t.rank(k)
-            units = points[pairs[:, 0]] - points[pairs[:, 1]]
-            units /= np.linalg.norm(units, axis=1)[:, None]
-            floors = axes._residual_floor(mar_polynomial(t, k), roots)
-            for members, point, floor in zip(groups, axes._sphere_points(roots), floors):
-                trial = units.copy()
-                trial[members] = point
-                self.assert_below(floor, block, trial)
+        assert seen[0][1] or dj == 4  # no two axes of that state lie within the window
+        layout = axes._layout(dj)
+        for directions, groups, ranks, roots in seen:
+            for members, k, point, z in zip(groups, ranks, axes._sphere_points(roots), roots):
+                rows = layout.axes(int(k))
+                trial = directions[rows].copy()
+                trial[np.array(members) - rows.start] = point
+                self.assert_below(_floor(t, int(k), z), t.rank(int(k)), trial)
         for k in range(1, dj + 1):
             block = t.rank(k)
-            zonal = axes._zonal_axis(block)
+            entries = layout.entries(k)
+            zonal = axes._zonal_axes(block, layout.q[entries], layout.ladder[entries], np.zeros(1, dtype=int))[0]
             x, y, w = zonal if zonal[2] >= 0.0 else -zonal
-            floor = axes._residual_floor(mar_polynomial(t, k), complex(x, y) / (1.0 + w))[0]
-            self.assert_below(floor, block, np.tile(zonal, (k, 1)))
+            self.assert_below(_floor(t, k, complex(x, y) / (1.0 + w)), block, np.tile(zonal, (k, 1)))
 
     def test_floor_beyond_the_unit_circle(self):
         t, k = self.generic_table(12), 6
-        block, coeffs = t.rank(k), mar_polynomial(t, k)
+        block = t.rank(k)
         rest = [a.unit_vector for a in extract_mar(t).rank(k).axes[1:]]
-        south = axes._residual_floor(coeffs, complex(math.inf))[0]
+        south = _floor(t, k, complex(math.inf))
         assert south == pytest.approx(abs(block[0]), rel=1e-15)
         self.assert_below(south, block, np.array([[0.0, 0.0, -1.0]] + rest))
         u = np.array([0.6, -0.3, -0.5]) / np.linalg.norm([0.6, -0.3, -0.5])
         z = complex(u[0], u[1]) / (1.0 + u[2])
         assert abs(z) > 1.0
-        self.assert_below(axes._residual_floor(coeffs, z)[0], block, np.array([u] + rest))
+        self.assert_below(_floor(t, k, z), block, np.array([u] + rest))
+        # the floor at Z by the formula written out on rank k's polynomial alone
+        coeffs = mar_polynomial(t, k)
+        for root in (complex(math.inf), z, 0.3 - 0.2j):
+            assert _floor(t, k, root) == pytest.approx(_reference_floor(coeffs, root)[0], rel=1e-13)
 
     def test_rejected_collapses_are_not_built(self, monkeypatch):
         # a generic state has no repeated axis, so past the rank-1 zonal trial
@@ -539,6 +545,120 @@ class TestResidualFloor:
         monkeypatch.setattr(axes, "_stretched", lambda units: calls.append(len(units)) or stretched(units))
         extract_mar(self.generic_table(24))
         assert len(calls) <= 24 + 1
+
+
+def _floor(t, k, z):
+    """``axes._residual_floors`` of rank k of the table t at one root z."""
+    layout = axes._layout(t.max_rank)
+    coeffs = layout.binomials * np.concatenate(t.ranks)[1:]
+    entries = np.arange(2 * k + 1) + layout.starts[k - 1]
+    return float(axes._residual_floors(coeffs, np.array([z], dtype=complex), entries, np.zeros(2 * k + 1, dtype=int), np.zeros(1, dtype=int), layout)[0])
+
+
+def _reference_floor(coeffs, z):
+    """The residual floor of one rank's polynomial (highest degree first) at each z, summed as written."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    outer = np.abs(z) > 1.0
+    powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), len(coeffs), increasing=True)
+    value = np.abs(np.where(outer, powers @ coeffs, powers @ coeffs[::-1]))
+    return value / (np.abs(powers) @ np.sqrt([float(math.comb(len(coeffs) - 1, i)) for i in range(len(coeffs))]))
+
+
+def _reference_cluster_roots(z, points, pairs, groups):
+    """Mean root of each group of pairs (boolean rows), on the side of the group's first upper-hemisphere root."""
+    ends = np.repeat(groups, 2, axis=1)
+    upper = ends & (points[pairs.ravel(), 2] >= 0.0)
+    ref = points[pairs.ravel()[np.where(upper.any(axis=1), np.argmax(upper, axis=1), np.argmax(ends, axis=1))]]
+    near = np.where(points[pairs[:, 0]] @ ref.T >= points[pairs[:, 1]] @ ref.T, pairs[:, :1], pairs[:, 1:]).T
+    return np.array([np.mean(z[near[g][members]]) for g, members in enumerate(groups)])
+
+
+def _reference_collapse(block, coeffs, bound, z, points, pairs, units, axis_pairs, angle):
+    """The per-rank join loop that ``axes._joins`` and ``axes._root_pass`` must reproduce, on one rank.
+
+    ``pairs`` index its roots in z and points, ``units`` are its axes
+    (changed in place: each kept join), ``angle`` is the angle of each pair
+    of axes in ``axis_pairs``.  Axes closer than 0.5 rad join, nearest
+    first; each join tries its group at the mean of its roots when the floor
+    there is within the bound.  Returns the joins (boolean rows) and their
+    mean roots.
+    """
+    close = np.flatnonzero(angle < 0.5)
+    group = np.arange(len(units))
+    joins = []
+    for a, b in axis_pairs[close[np.argsort(angle[close], kind="stable")]].tolist():
+        ga, gb = group[a], group[b]
+        if ga != gb:
+            group[group == gb] = ga
+            joins.append(group == ga)
+    joins = np.array(joins, dtype=bool).reshape(-1, len(units))
+    roots = _reference_cluster_roots(z, points, pairs, joins)
+    kept = _reference_floor(coeffs, roots) <= bound
+    for members, point in zip(joins[kept], axes._sphere_points(roots[kept])):
+        trial = units.copy()
+        trial[members] = point
+        if fit_radius(block, axes._stretched(trial))[1] <= bound:
+            units[members] = point
+    return joins, roots
+
+
+class TestTableJoins:
+    """The join stage of ``_root_pass`` runs over the whole table at once; the
+    per-rank loop of ``_reference_collapse`` must give the same joins, mean
+    roots within an ulp, and the same accepted collapses."""
+
+    @staticmethod
+    def compare(t, monkeypatch):
+        joins, root_pass, seen = axes._joins, axes._root_pass, {}
+
+        def recording_joins(z, points, pairs, directions, chosen, layout):
+            seen.update(args=(z, points, pairs, directions.copy(), chosen, layout))
+            seen["found"] = joins(z, points, pairs, directions, chosen, layout)
+            return seen["found"]
+
+        def recording_pass(flat, coeffs, bound, ks, directions, layout):
+            root_pass(flat, coeffs, bound, ks, directions, layout)
+            seen.update(bound=bound, final=directions.copy())
+
+        monkeypatch.setattr(axes, "_joins", recording_joins)
+        monkeypatch.setattr(axes, "_root_pass", recording_pass)
+        try:
+            extract_mar(t)
+        except ConsistencyError:
+            pass
+        if "args" not in seen:
+            return 0
+        z, points, pairs, directions, chosen, layout = seen["args"]
+        groups, ranks, means = seen["found"]
+        a, b = layout.pairs.T
+        angle = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", directions[a], directions[b])), 1.0))
+        got, accepted = 0, 0
+        for k in np.flatnonzero(chosen).tolist():
+            rows, mine = layout.axes(k), layout.axis_rank[a] == k
+            units = directions[rows].copy()
+            want, roots = _reference_collapse(
+                t.rank(k), mar_polynomial(t, k), seen["bound"][k - 1], z, points, pairs[rows], units, layout.pairs[mine] - rows.start, angle[mine]
+            )
+            ours = [g for g, r in enumerate(ranks) if r == k]
+            assert [groups[g] for g in ours] == [(np.flatnonzero(w) + rows.start).tolist() for w in want]
+            assert (np.abs(means[ours] - roots) <= np.spacing(np.abs(roots))).all()
+            assert np.abs(seen["final"][rows] - units).max() <= 1e-15
+            got += len(ours)
+            accepted += int((np.abs(units - directions[rows]).max(axis=1) > 0.0).sum())
+        return accepted if got else -1
+
+    @pytest.mark.parametrize("dj", [4, 12, 24, 40])
+    def test_generic_tables(self, dj, monkeypatch):
+        t = rho_to_t(SpinDensityMatrix(h(dj), random_density(np.random.default_rng(dj), dj + 1)))
+        assert self.compare(t, monkeypatch) in ((-1, 0) if dj == 4 else (0,))
+
+    @pytest.mark.parametrize("name, n", [("octahedron", 12), ("icosahedron", 24), ("dodecahedron", 40), ("cube", 8)])
+    def test_platonic_states_accept_joins(self, name, n, monkeypatch):
+        assert self.compare(_platonic_table(name, n), monkeypatch) > 0
+
+    @pytest.mark.parametrize("n, i", [(8, 1), (8, 3), (24, 5), (40, 7)])
+    def test_two_m_states_accept_joins(self, n, i, monkeypatch):
+        assert self.compare(_two_m_table(n, i), monkeypatch) > 0
 
 
 class TestEquivariance:
@@ -615,7 +735,7 @@ class TestPairingFastPath:
 
     @staticmethod
     def assert_greedy(points):
-        pairs = axes._antipodal_pairs(points)
+        pairs = axes._antipodal_pairs(points[None], np.array([len(points)]))
         want_pairs, want_gaps = _greedy_pairs(points)
         np.testing.assert_array_equal(pairs, want_pairs)
         np.testing.assert_array_equal(axes._pair_vectors(points, pairs)[1], want_gaps)
@@ -657,6 +777,27 @@ class TestPairingFastPath:
             fallbacks += not _nearest_antipode_is_involution(points)
             self.assert_greedy(points)
         assert fallbacks >= 50
+
+    def test_stacked_rows_pair_like_each_row_alone(self):
+        # rows of different sizes in one zero-padded stack, two of them not involutions
+        rng = np.random.default_rng(8500)
+        sets, greedy = [], 0
+        while len(sets) < 6:
+            points = axes._sphere_points(_antipodal_roots(rng, int(rng.integers(1, 7))))
+            if greedy < 2:
+                points = points + rng.normal(scale=0.3, size=points.shape)
+                points /= np.linalg.norm(points, axis=1)[:, None]
+                if _nearest_antipode_is_involution(points):
+                    continue
+                greedy += 1
+            sets.append(points)
+        sets = [sets[2], sets[0], sets[3], sets[4], sets[1], sets[5]]  # the greedy rows between others
+        width = max(len(p) for p in sets)
+        stack = np.zeros((len(sets), width, 3))
+        for r, p in enumerate(sets):
+            stack[r, : len(p)] = p
+        pairs = axes._antipodal_pairs(stack, np.array([len(p) for p in sets]))
+        np.testing.assert_array_equal(pairs, np.concatenate([_greedy_pairs(p)[0] + r * width for r, p in enumerate(sets)]))
 
 
 def _awkward_directions():

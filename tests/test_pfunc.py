@@ -29,7 +29,7 @@ from spinaxes import (
     ylm_squared_t,
 )
 from spinaxes import pfunc as pfunc_module
-from spinaxes.pfunc import _exact_grid, _grid_legendre_table, _legendre_table, _phases, _state_grid
+from spinaxes.pfunc import _exact_grid, _grid_legendre_table, _legendre_table, _phases, _state_grid, _state_indices
 from spinaxes.pfunc import _tensor_and_minimum, _values_on_grid
 from spinaxes.symmetric import BlochVector
 from spinaxes.tensors import _conjugation_mirror
@@ -244,6 +244,12 @@ class TestSphericalExpansion:
         )
         assert lam.evaluate(theta, phi) == pytest.approx(want, abs=1e-14)
         assert abs(lam.evaluate(theta, phi).imag) < 1e-15
+
+    @pytest.mark.parametrize("theta, phi, name", [(math.nan, 0.0, "theta"), (0.3, math.inf, "phi"), ([0.2, -math.inf], 0.0, "theta")])
+    def test_evaluate_rejects_non_finite_angles(self, theta, phi, name):
+        lam = SphericalExpansion.from_table(2, {(0, 0): 0.2, (2, 0): 0.1})
+        with pytest.raises(DomainError, match=f"^angle {name} has a non-finite value$"):
+            lam.evaluate(theta, phi)
 
     def test_evaluate_across_point_blocks(self):
         # 5000 scattered points at degree 30 take three blocks of the Legendre table
@@ -703,6 +709,15 @@ class TestRingTables:
                 table[0, 0] = 0.0
         np.testing.assert_array_equal(e, np.exp(-1j * np.outer(grid.phi, np.arange(-6, 7))))
         np.testing.assert_array_equal(phases, np.exp(-1j * np.outer(grid.phi, np.arange(-3, 4))))
+        # the gather of rho_from_distribution, per spin: h[s, p + 2j] at s = a + c, p = c - a
+        s, rest, index = _state_indices(6)
+        assert _state_indices(6)[2] is index and _state_indices.cache_info().maxsize is not None
+        for table in (s, rest, index):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        a, c = np.meshgrid(np.arange(7), np.arange(7), indexing="ij")
+        np.testing.assert_array_equal(np.unravel_index(index, (13, 13)), (a + c, c - a + 6))
+        np.testing.assert_array_equal(s.ravel() + rest.ravel(), 12)
 
     # both branches of _state_grid: the probe's grid (band 2L) and the smallest exact one
     @pytest.mark.filterwarnings("ignore::spinaxes.NonClassicalWarning")

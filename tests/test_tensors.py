@@ -1,6 +1,7 @@
 """Tensor operators, tensor parameters, and the density-matrix maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,30 @@ class TestSpinDensityMatrix:
         assert rho.purity() == pytest.approx(1.0, abs=1e-15)
         assert rho.min_eigenvalue() == pytest.approx(0.0, abs=1e-15)
         assert rho.is_physical
+
+    @pytest.mark.parametrize("dj", [1, 2, 6, 12, 40])
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    def test_physical_verdict_at_the_floor(self, dj, offset):
+        # is_physical factors rho - PSD_FLOOR I instead of diagonalizing; its
+        # verdict must still be the lowest eigenvalue's, and so must the warning
+        from spinaxes.tensors import PSD_FLOOR
+
+        rng = np.random.default_rng(dj)
+        u = np.linalg.qr(rng.normal(size=(dj + 1, dj + 1)) + 1j * rng.normal(size=(dj + 1, dj + 1)))[0]
+        lam = rng.uniform(0.5, 1.5, dj + 1)
+        lam[0] = PSD_FLOOR + offset
+        lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+        m = (u * lam) @ u.conj().T
+        m = (m + m.conj().T) / 2.0
+        physical = SpinDensityMatrix(h(dj), m).is_physical
+        lowest = SpinDensityMatrix(h(dj), m).min_eigenvalue()
+        assert physical == (lowest >= PSD_FLOOR) == (offset > 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rho = t_to_rho(rho_to_t(SpinDensityMatrix(h(dj), m)))
+        want = [] if rho.is_physical else [f"reconstructed matrix has minimum eigenvalue {rho.min_eigenvalue():.6g}"]
+        assert [str(w.message) for w in caught] == want
+        assert rho.is_physical == (rho.min_eigenvalue() >= PSD_FLOOR)
 
     def test_matrix_is_read_only(self):
         rho = maximally_mixed(h(2))
