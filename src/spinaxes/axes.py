@@ -70,6 +70,9 @@ _COLLAPSE_RTOL = 1e-10
 _TABLE_RTOL = 1e-14
 EQUATOR_TOL = 1e-9
 RADIUS_ZERO_TOL = 1e-12
+# collinearity_check: rows of all-pairs dot products per block, and a margin far above their rounding
+_COLLINEAR_ROWS = 32
+_COLLINEAR_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,13 +152,14 @@ def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Read-only index tables of ranks 1 .. top, built once per top by ``_layout``.
+    """Read-only index tables of ranks 0 .. top, built once per top by ``_layout``.
 
-    Rank k's entries are ``entries(k)`` of the flat table without rank 0,
-    and its k axes ``axes(k)`` of an axis table.
+    Rank k's entries are ``entries(k)`` of the table's own flat layout (see
+    ``tensors._rank_layout``), and its k axes ``axes(k)`` of an axis table;
+    every per-rank array is indexed by rank, rank 0 holding no axis.
     """
 
-    ranks: np.ndarray  # 1 .. top
+    ranks: np.ndarray  # 0 .. top
     k: np.ndarray  # rank of each entry
     q: np.ndarray  # order of each entry
     binomials: np.ndarray  # sqrt(C(2k, k+q))
@@ -167,7 +171,7 @@ class _Layout:
 
     @staticmethod
     def entries(k: int) -> slice:
-        return slice(k * k - 1, (k + 1) ** 2 - 1)
+        return slice(k * k, (k + 1) ** 2)
 
     @staticmethod
     def axes(k: int) -> slice:
@@ -177,8 +181,7 @@ class _Layout:
 @functools.lru_cache(maxsize=None)
 def _layout(top: int) -> _Layout:
     k, q, _, _ = _rank_layout(top)
-    k, q = k[1:], q[1:]
-    ranks = np.arange(1, top + 1)
+    ranks = np.arange(top + 1)
     axis_rank = np.repeat(ranks, ranks)
     first = ranks * (ranks - 1) // 2
     layout = _Layout(
@@ -187,10 +190,10 @@ def _layout(top: int) -> _Layout:
         q=q,
         binomials=np.concatenate([_root_binomials(2 * r) for r in ranks.tolist()]),
         ladder=np.sqrt(k * (k + 1) - q * (q + 1)),
-        starts=ranks * ranks - 1,
+        starts=ranks * ranks,
         axis_rank=axis_rank,
-        axis_slot=np.arange(len(axis_rank)) - first[axis_rank - 1],
-        pairs=np.concatenate([np.stack(np.triu_indices(r, 1), axis=1) + first[r - 1] for r in ranks.tolist()]),
+        axis_slot=np.arange(len(axis_rank)) - first[axis_rank],
+        pairs=np.concatenate([np.stack(np.triu_indices(r, 1), axis=1) + first[r] for r in ranks.tolist()]),
     )
     for a in vars(layout).values():
         a.setflags(write=False)
@@ -333,7 +336,7 @@ def _residual_floors(coeffs, z: np.ndarray, entries, owner: np.ndarray, starts: 
     """
     outer = np.abs(z) > 1.0
     k, q = layout.k[entries], layout.q[entries]
-    powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), 2 * len(layout.ranks) + 1, increasing=True)
+    powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), 2 * layout.ranks[-1] + 1, increasing=True)
     powers = powers[owner, np.where(outer[owner], k + q, k - q)]
     floors = np.abs(np.add.reduceat(coeffs[entries] * powers, starts))
     floors /= np.add.reduceat(layout.binomials[entries] * np.abs(powers), starts)
@@ -362,19 +365,18 @@ def _zonal_pass(flat, coeffs, nonzero, bound, layout: _Layout) -> tuple[np.ndarr
     Only ranks whose residual floor at the root Z = (x + iy)/(1 + z) of the
     upper end of their zonal axis is within the bound build the k-fold fit.
     """
-    k, starts = layout.k, layout.starts
-    zonal = _zonal_axes(flat, layout.q, layout.ladder, starts)
+    zonal = _zonal_axes(flat, layout.q, layout.ladder, layout.starts)
     x, y, w = (zonal * np.where(zonal[:, 2:] >= 0.0, 1.0, -1.0)).T
-    floors = _residual_floors(coeffs, (x + 1j * y) / (1.0 + w), slice(None), k - 1, starts, layout)
+    floors = _residual_floors(coeffs, (x + 1j * y) / (1.0 + w), slice(None), layout.k, layout.starts, layout)
     tried = np.flatnonzero(nonzero & (floors <= bound))
     single = np.zeros(len(zonal), dtype=bool)
     if tried.size:
-        # ranks 1 .. n, n the highest tried: the first entries of the table
+        # the n ranks 0 .. the highest tried: the first entries of the table
         n = tried[-1] + 1
         counts = np.zeros(n, dtype=int)
-        counts[tried] = tried + 1
-        s = _stretched_table(np.broadcast_to(zonal[:n, None], (n, n, 3)), counts, layout)
-        single[tried] = (_fit(flat[: len(s)], s, starts[:n], k[: len(s)] - 1)[1] <= bound[:n])[tried]
+        counts[tried] = tried
+        residuals = _rebuilt(flat, np.broadcast_to(zonal[:n, None], (n, n - 1, 3)), counts, layout)[1]
+        single[tried] = (residuals <= bound[:n])[tried]
     return zonal, single
 
 
@@ -430,7 +432,7 @@ def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layo
     rank by its final residual.
     """
     col = np.arange(2 * ks[-1] + 1)
-    index = np.where(col <= 2 * ks[:, None], layout.starts[ks - 1, None] + col, len(coeffs))
+    index = np.where(col <= 2 * ks[:, None], layout.starts[ks, None] + col, len(coeffs))
     first, lead, last = _companions(np.append(coeffs, 0.0)[index])
     z = np.where(col[:-1] < (2 * ks - lead)[:, None], 0j, complex(math.inf))
     companion = np.eye(len(col) - 1, k=-1, dtype=complex)  # each rank's is its top-left block, first row rewritten
@@ -439,7 +441,7 @@ def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layo
         roots[:n] = np.linalg.eigvals(companion[:n, :n])
     stack = _sphere_points(z)
     pairs = np.zeros((len(directions), 2), dtype=int)
-    chosen = np.zeros(len(layout.ranks) + 1, dtype=bool)
+    chosen = np.zeros(len(layout.ranks), dtype=bool)
     chosen[ks] = True
     rows = np.flatnonzero(chosen[layout.axis_rank])
     pairs[rows] = found = _antipodal_pairs(stack, 2 * ks)
@@ -452,13 +454,13 @@ def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layo
     sizes = 2 * join_ranks + 1
     owner = np.repeat(np.arange(len(joins)), sizes)
     starts = np.cumsum(sizes) - sizes
-    entries = np.arange(len(owner)) + (layout.starts[join_ranks - 1] - starts)[owner]
-    tried = np.flatnonzero(_residual_floors(coeffs, means, entries, owner, starts, layout) <= bound[join_ranks - 1])
+    entries = np.arange(len(owner)) + (layout.starts[join_ranks] - starts)[owner]
+    tried = np.flatnonzero(_residual_floors(coeffs, means, entries, owner, starts, layout) <= bound[join_ranks])
     for g, point in zip(tried.tolist(), _sphere_points(means[tried])):
         k, members = int(join_ranks[g]), joins[g]
         trial = directions[layout.axes(k)].copy()
         trial[np.array(members) - layout.axes(k).start] = point
-        if fit_radius(flat[layout.entries(k)], _stretched(trial))[1] <= bound[k - 1]:
+        if fit_radius(flat[layout.entries(k)], _stretched(trial))[1] <= bound[k]:
             directions[members] = point
 
 
@@ -488,12 +490,12 @@ def _stretched_rows(units: np.ndarray, counts) -> np.ndarray:
     return prod.T
 
 
-def _stretched_table(units: np.ndarray, counts: np.ndarray, layout: _Layout) -> np.ndarray:
-    """s^k_q of ranks k = 1 .. n on the flat layout, from the first counts[k - 1] rows of units[k - 1] (n, n, 3)."""
-    n = len(units)
-    entries = (n + 1) ** 2 - 1
+def _rebuilt(flat: np.ndarray, units: np.ndarray, counts: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and residual of ranks k = 0 .. n - 1 of the flat table against s^k_q of the first counts[k] rows of units[k] (n, n - 1, 3)."""
+    entries = len(units) ** 2
     k, q = layout.k[:entries], layout.q[:entries]
-    return _stretched_rows(units, counts)[k - 1, k + q] / layout.binomials[:entries]
+    s = _stretched_rows(units, counts)[k, k + q] / layout.binomials[:entries]
+    return _fit(flat[:entries], s, layout.starts[: len(units)], k)
 
 
 def _stretched(units: np.ndarray) -> np.ndarray:
@@ -606,37 +608,36 @@ def extract_mar(t: TensorParams) -> MarDecomposition:
     if top == 0:
         return MarDecomposition(t.j, ())
     layout = _layout(top)
-    flat = np.concatenate(t.ranks)
-    floor = _TABLE_RTOL * float(np.linalg.norm(flat))
-    flat = flat[1:]
+    flat = t._flat
     size = np.abs(flat)
-    nonzero = np.maximum.reduceat(size, layout.starts) > RADIUS_ZERO_TOL
+    nonzero = (np.maximum.reduceat(size, layout.starts) > RADIUS_ZERO_TOL) & (layout.ranks > 0)
+    floor = _TABLE_RTOL * float(np.linalg.norm(flat))
     bound = np.maximum(_COLLAPSE_RTOL * np.sqrt(np.add.reduceat(size * size, layout.starts)), floor)
     coeffs = layout.binomials * flat
     zonal, single = _zonal_pass(flat, coeffs, nonzero, bound, layout)
     directions = np.repeat(zonal, layout.ranks, axis=0)
-    ks = np.flatnonzero(nonzero & ~single) + 1
+    ks = np.flatnonzero(nonzero & ~single)
     if ks.size:
         _root_pass(flat, coeffs, bound, ks, directions, layout)
 
     # every axis of the table at once: canonical, sorted, fitted, and judged
     theta, phi = _sorted_axes(directions, layout.axis_rank)
-    padded = np.zeros((top, top, 3))
-    padded[layout.axis_rank - 1, layout.axis_slot] = _unit_vectors(theta, phi)
+    padded = np.zeros((top + 1, top, 3))
+    padded[layout.axis_rank, layout.axis_slot] = _unit_vectors(theta, phi)
     counts = np.where(nonzero, layout.ranks, 0)
-    radii, residuals = _fit(flat, _stretched_table(padded, counts, layout), layout.starts, layout.k - 1)
+    radii, residuals = _rebuilt(flat, padded, counts, layout)
     over = np.flatnonzero(nonzero & ~(residuals <= bound))
     if over.size:
-        i = over[0]
+        k = over[0]
         raise ConsistencyError(
-            f"rank {i + 1} axes rebuild the block with residual {residuals[i]:.3g}, over its bound {bound[i]:.3g}"
+            f"rank {k} axes rebuild the block with residual {residuals[k]:.3g}, over its bound {bound[k]:.3g}"
         )
     axes = _axis_list(theta, phi)
     entries = []
     for k, count, r, residual in zip(layout.ranks.tolist(), counts.tolist(), radii.tolist(), residuals.tolist()):
         if count:
             entries.append(RankDecomposition(k, abs(r), -1 if r < 0 else 1, tuple(axes[layout.axes(k)]), residual))
-        else:
+        elif k:  # rank 0, t^0_0 = 1, is the normalization, not a rank of the decomposition
             entries.append(RankDecomposition(k, 0.0, 1, (), 0.0))
     return MarDecomposition(t.j, tuple(entries))
 
@@ -647,7 +648,12 @@ def collinearity_check(m: MarDecomposition, tol: float = 1e-8) -> bool:
         raise DomainError(f"tolerance must be finite and non-negative, got {tol!r}")
     axes = [a for e in m.ranks if e.radius > tol for a in e.axes]
     v = _unit_vectors(np.array([a.theta for a in axes]), np.array([a.phi for a in axes]))
-    # one axis off the line of the first decides without every pair
-    if len(v) and not (np.abs(v @ v[0]) >= 1.0 - tol).all():
-        return False
-    return bool((np.abs(v @ v.T) >= 1.0 - tol).all())
+    # every pair's |u . v| >= 1 - tol, in blocks of rows; the first block holds every pair with the first axis
+    for start in range(0, len(v), _COLLINEAR_ROWS):
+        dots = np.abs(v[start : start + _COLLINEAR_ROWS] @ v.T)
+        if not (dots >= 1.0 - tol).all():
+            return False
+        # within half that angle, arccos(1 - tol), of the first axis's line, every two axes are within it
+        if not start and (dots[0] >= math.sqrt(max(1.0 - tol / 2, 0.0)) + _COLLINEAR_MARGIN).all():
+            return True
+    return True

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -550,8 +551,8 @@ class TestResidualFloor:
 def _floor(t, k, z):
     """``axes._residual_floors`` of rank k of the table t at one root z."""
     layout = axes._layout(t.max_rank)
-    coeffs = layout.binomials * np.concatenate(t.ranks)[1:]
-    entries = np.arange(2 * k + 1) + layout.starts[k - 1]
+    coeffs = layout.binomials * t._flat
+    entries = np.arange(2 * k + 1) + layout.starts[k]
     return float(axes._residual_floors(coeffs, np.array([z], dtype=complex), entries, np.zeros(2 * k + 1, dtype=int), np.zeros(1, dtype=int), layout)[0])
 
 
@@ -638,7 +639,7 @@ class TestTableJoins:
             rows, mine = layout.axes(k), layout.axis_rank[a] == k
             units = directions[rows].copy()
             want, roots = _reference_collapse(
-                t.rank(k), mar_polynomial(t, k), seen["bound"][k - 1], z, points, pairs[rows], units, layout.pairs[mine] - rows.start, angle[mine]
+                t.rank(k), mar_polynomial(t, k), seen["bound"][k], z, points, pairs[rows], units, layout.pairs[mine] - rows.start, angle[mine]
             )
             ours = [g for g, r in enumerate(ranks) if r == k]
             assert [groups[g] for g in ours] == [(np.flatnonzero(w) + rows.start).tolist() for w in want]
@@ -878,6 +879,35 @@ class TestCollinearityInOnePass:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize(
+        "offsets, collinear",
+        [
+            ([0.45], True),  # every axis within half the angle of the first's line
+            ([0.6, 0.9], True),  # beyond half, so the pairs decide
+            ([0.8, -0.8], False),  # each within the angle of the first, not of each other
+            ([1.1], False),
+        ],
+    )
+    def test_pairs_decide_beyond_half_the_angle_of_the_first_line(self, offsets, collinear):
+        # 100 axes in one plane at 0.1 + offset * arccos(1 - tol): four blocks of rows
+        tol = 1e-4
+        angle = math.acos(1.0 - tol)
+        theta = 0.1 + angle * np.array([0.0] + [offsets[i % len(offsets)] for i in range(99)])
+        m = axes.MarDecomposition(h(1), (axes.RankDecomposition(1, 1.0, 1, tuple(Axis(a, 0.0) for a in theta.tolist()), 0.0),))
+        assert collinearity_check(m, tol) == self.per_axis(m, tol) == collinear
+
+    def test_collinear_product_state_in_linear_memory(self):
+        from spinaxes import BlochVector, product_state_in_jm
+
+        m = extract_mar(rho_to_t(product_state_in_jm(BlochVector(0.7, 0.3), 60)))
+        tracemalloc.start()
+        try:
+            assert collinearity_check(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6  # an all-pairs table of its 1431 axes takes 16 MB
+
 
 def _ensemble_table(n, directions, weights=None):
     """rho_to_t of the n-qubit ensemble of BlochVectors, uniform unless weights are given."""
@@ -977,3 +1007,9 @@ class TestOneAcceptanceRule:
 
     def test_near_parallel_pair_is_within_bound_or_named(self):
         _decomposes_within_bound(_seeded_ensemble_table(16, 2, 27))
+
+    @pytest.mark.parametrize("name, n", [("octahedron", 41), ("tetrahedron", 54)])
+    def test_platonic_state_is_within_bound_or_named(self, name, n):
+        # both raise today, naming the rank: the octahedron's rank 10 at 1.31x its
+        # bound, the tetrahedron's rank 3 at 2.2e4x
+        _decomposes_within_bound(_platonic_table(name, n))
