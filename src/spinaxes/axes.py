@@ -55,7 +55,7 @@ import numpy as np
 
 from .angular import _check_angles, _root_binomials, _scaled_direction
 from .errors import ConsistencyError, DomainError
-from .halfint import HalfInt
+from .halfint import HalfInt, _is_int
 from .tensors import TensorParams, _rank_layout
 
 ROOT_CLUSTER_RTOL = 1e-7
@@ -145,7 +145,7 @@ def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
     The coefficient of Z^{2k-i} is sqrt(C(2k, i)) t^k_{i-k}; an all-zero
     rank yields the zero vector, which signals zero radius, not an error.
     """
-    if not isinstance(k, int) or not 1 <= k <= t.max_rank:
+    if not _is_int(k) or not 1 <= k <= t.max_rank:
         raise DomainError(f"rank k = {k} outside 1 .. {t.max_rank}")
     return _root_binomials(2 * k) * t.rank(k)
 

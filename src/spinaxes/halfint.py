@@ -91,6 +91,11 @@ def halfint(x: "HalfInt | int | str") -> HalfInt:
     raise DomainError(f"cannot interpret {x!r} as a half-integer")
 
 
+def _is_int(x) -> bool:
+    """True for an int or numpy integer, as ranks, orders and degrees must be; False for a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def m_range(j: HalfInt) -> list[HalfInt]:
     """Magnetic quantum numbers from +j down to -j in steps of one."""
     if j.doubled < 0:

@@ -69,7 +69,7 @@ import numpy as np
 
 from .angular import MAX_DEGREE, _check_angles, _legendre_table, _root_binomials
 from .errors import DomainError, NonClassicalWarning, ValidationError
-from .halfint import HalfInt
+from .halfint import HalfInt, _is_int
 from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
 # the shared rank-table layout
 from .tensors import _checked_blocks, _entry_flat, _from_half, _half_table, _rank_layout, _real_product, _split
@@ -98,6 +98,8 @@ def _coherent_amplitudes(dj: int, theta: np.ndarray, phi: np.ndarray) -> np.ndar
 def multipole_scale(j, k: int) -> float:
     """The constant c_k(j) = sqrt(4 pi) <j j, k 0 | j j>, from its closed form."""
     j = _spin(j)
+    if not _is_int(k):
+        raise DomainError(f"rank k must be an int, got {k!r}")
     if not 0 <= k <= j.doubled:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
     return float(_multipole_scales(j.doubled)[k])
@@ -117,7 +119,7 @@ def _multipole_scales(dj: int) -> np.ndarray:
 
 
 def _check_l_max(l_max) -> None:
-    if not isinstance(l_max, int) or not 0 <= l_max <= MAX_DEGREE:
+    if not _is_int(l_max) or not 0 <= l_max <= MAX_DEGREE:
         raise DomainError(f"l_max must be an int in 0 .. {MAX_DEGREE}, got {l_max!r}")
 
 
@@ -135,11 +137,16 @@ class QuadratureGrid:
 
     def __post_init__(self) -> None:
         for name in ("theta", "phi", "theta_weights"):
-            a = np.asarray(getattr(self, name), dtype=float)
+            a = np.array(getattr(self, name), dtype=float)  # a copy: the caller's array stays theirs
+            if a.ndim != 1 or not len(a) or not np.isfinite(a).all():
+                raise ValidationError(f"{name} must be a non-empty 1-d array of finite values")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         if self.theta.shape != self.theta_weights.shape:
             raise ValidationError("theta nodes and weights differ in length")
+        # weights() holds for the uniform nodes 2 pi p / n_phi alone
+        if np.abs(self.phi - np.arange(self.n_phi) * (2 * math.pi / self.n_phi)).max() > 1e-12:
+            raise ValidationError("phi nodes must be 2 pi p / n_phi for p = 0 .. n_phi - 1")
 
     @classmethod
     def build(cls, n_theta: int, n_phi: int) -> "QuadratureGrid":
@@ -496,7 +503,7 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
     c_k is the closed-form table of :func:`multipole_scale`.
     """
     j = _spin(j)
-    if not isinstance(l, int) or not isinstance(m, int):
+    if not _is_int(l) or not _is_int(m):
         raise DomainError("degree and order must be ints")
     if l < 0 or abs(m) > l:
         raise DomainError(f"invalid harmonic indices l = {l}, m = {m}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .angular import MAX_DOUBLED_J, _scaled_direction
 from .errors import DomainError, ValidationError
-from .halfint import HalfInt
+from .halfint import HalfInt, _is_int
 from .pfunc import _coherent_amplitudes, coherent_state
 from .tensors import SpinDensityMatrix
 
@@ -129,7 +129,7 @@ def symmetrize_pair(d1: BlochVector, d2: BlochVector) -> tuple[np.ndarray, float
 
 def _check_qubits(n_qubits, top: int = MAX_DOUBLED_J) -> None:
     """Reject a qubit count outside 1 .. top before anything is allocated."""
-    if not isinstance(n_qubits, int) or n_qubits < 1:
+    if not _is_int(n_qubits) or n_qubits < 1:
         raise DomainError(f"need at least one qubit, got {n_qubits!r}")
     if n_qubits > top:
         raise DomainError(f"{n_qubits} qubits exceeds the supported maximum of {top}")

@@ -29,11 +29,9 @@ complex.
 U(phi, theta, psi) applies to the state, so that
 rotate_t(rho_to_t(rho)) == rho_to_t(U rho U^dag).  It factors each
 rank's d^k(theta) through the quarter turn Delta = d^k(pi/2) (Risbo
-1996; Trapani and Navaza 2006), whose tables are built once from one d
-ladder into one read-only stack and shared by every later call, so no call
-runs a ladder.  Its phases act on the whole flat table at once, and each of
-its two passes is one stacked product per size class of ranks, not a
-product per rank.
+1996; Trapani and Navaza 2006), from one read-only plan per spin, built on
+first use, so no result depends on the spins rotated before.  Its phases act
+on the whole flat table at once; each pass is one stacked product per class.
 
 ``TensorParams`` and ``pfunc.SphericalExpansion`` share one table layout,
 owned here: blocks k = 0 .. K, q = -k .. k, as read-only views of one flat
@@ -61,7 +59,7 @@ import warnings
 
 from .angular import MAX_DOUBLED_J, _check_angles, _d_ladder
 from .errors import DomainError, NonPhysicalWarning, ValidationError
-from .halfint import HalfInt, dimension, halfint
+from .halfint import HalfInt, _is_int, dimension, halfint
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -290,16 +288,22 @@ class TensorParams:
 
     def rank(self, k: int) -> np.ndarray:
         """Copy of the rank-k block, q ascending from -k to +k."""
-        if not 0 <= k <= self.max_rank:
-            raise DomainError(f"rank {k} outside 0 .. {self.max_rank}")
-        return self.ranks[k].copy()
+        return self.ranks[self._checked_rank(k)].copy()
 
     def item(self, k: int, q: int) -> complex:
-        if not 0 <= k <= self.max_rank:
-            raise DomainError(f"rank {k} outside 0 .. {self.max_rank}")
+        block = self.ranks[self._checked_rank(k)]
+        if not _is_int(q):
+            raise DomainError(f"order q must be an int, got {q!r}")
         if not -k <= q <= k:
             raise DomainError(f"order q = {q} outside |q| <= {k}")
-        return complex(self.ranks[k][q + k])
+        return complex(block[q + k])
+
+    def _checked_rank(self, k) -> int:
+        if not _is_int(k):
+            raise DomainError(f"rank k must be an int, got {k!r}")
+        if not 0 <= k <= self.max_rank:
+            raise DomainError(f"rank {k} outside 0 .. {self.max_rank}")
+        return k
 
     def table(self) -> dict:
         k, q, _, _ = _rank_layout(self.max_rank)
@@ -357,7 +361,7 @@ def tau_operator(j, k: int, q: int) -> np.ndarray:
     Matrix elements sqrt(2k+1) <j m, k q | j m'> in the descending-m basis.
     """
     j = _spin(j)
-    if not isinstance(k, int) or not isinstance(q, int):
+    if not _is_int(k) or not _is_int(q):
         raise DomainError("rank and order must be ints")
     if not 0 <= k <= j.doubled:
         raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
@@ -412,69 +416,40 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
     return rho
 
 
-# Ranks per size class of the quarter-turn stack
+# Ranks per size class of a quarter-turn plan
 _TURN_CLASS = 8
-# (top, classes): d^k(pi/2) for k = 0 .. top; only the stack with the largest top built so far is kept
-_QUARTER_TURNS: tuple = (-1, ())
 
 
-def _turn_classes(k_max: int) -> tuple:
-    """(top, classes): read-only stacks of d^k(pi/2) for k = 0 .. top >= k_max, one per size class.
+@lru_cache(maxsize=8)
+def _turn_plan(k_max: int) -> tuple:
+    """(where, size, classes): ``rotate_t``'s plan for ranks 0 .. k_max, W = _TURN_CLASS ranks a class.
 
-    Class c holds ranks c W .. min(c W + W - 1, top), W = _TURN_CLASS, each
-    zero-padded to the class's largest rank h and centred: rows and columns
-    q = +h .. -h, rank k filling q = +k .. -k.  A class is one stacked
-    product, whatever the ranks in it.  The even steps of one d ladder at
-    pi/2 are the integer spins; the classes are views of one read-only
-    buffer, and a stack built for a larger k_max serves every smaller one.
-    """
-    global _QUARTER_TURNS
-    if _QUARTER_TURNS[0] < k_max:
-        ladder = islice(_d_ladder(2 * k_max, math.pi / 2), None, None, 2)
-        spans = [(lo, min(lo + _TURN_CLASS - 1, k_max)) for lo in range(0, k_max + 1, _TURN_CLASS)]
-        buffer = np.zeros(sum((hi - lo + 1) * (2 * hi + 1) ** 2 for lo, hi in spans))
-        classes, start = [], 0
-        for lo, hi in spans:
-            stack = buffer[start : start + (hi - lo + 1) * (2 * hi + 1) ** 2].reshape(hi - lo + 1, 2 * hi + 1, -1)
-            start += stack.size
-            for k in range(lo, hi + 1):
-                stack[k - lo, hi - k : hi + k + 1, hi - k : hi + k + 1] = next(ladder)
-            stack.setflags(write=False)
-            classes.append(stack)
-        buffer.setflags(write=False)
-        _QUARTER_TURNS = k_max, tuple(classes)
-    return _QUARTER_TURNS
-
-
-def _quarter_turns(k_max: int) -> tuple:
-    """Read-only d^k(pi/2) for k = 0 .. at least k_max, rows and columns q = +k .. -k: views of the stack."""
-    top, classes = _turn_classes(k_max)
-    tables = []
-    for lo, stack in zip(range(0, top + 1, _TURN_CLASS), classes):
-        hi = lo + len(stack) - 1
-        tables += [stack[k - lo, hi - k : hi + k + 1, hi - k : hi + k + 1] for k in range(lo, hi + 1)]
-    return tuple(tables)
-
-
-@lru_cache(maxsize=64)
-def _turn_layout(k_max: int, top: int) -> tuple:
-    """How ``rotate_t`` lays ranks 0 .. k_max out for the classes of the stack built to ``top``.
-
-    Returns the read-only position of each flat entry in one padded vector,
-    that vector's length, and per class (start, ranks, width, largest rank):
-    rank k of a class is the width-long stretch after start + (k - lo) width,
-    its order q at offset h - q, h the class's largest rank.
+    ``where`` places each flat entry in a padded vector of length ``size``.  Class c, ranks
+    lo = c W .. hi, is (its slice of that vector, count, width 2 hi + 1, hi, delta): rank k
+    at offset (k - lo) width in the slice, order q at hi - q, and delta[k - lo] = d^k(pi/2)
+    on rows and columns q = +hi .. -hi, the even steps of one d ladder at pi/2, all read-only
+    views of one buffer.
     """
     k, q, _, _ = _rank_layout(k_max)
     lo = np.arange(0, k_max + 1, _TURN_CLASS)
-    hi = np.minimum(lo + _TURN_CLASS - 1, top)
-    width, count = 2 * hi + 1, np.minimum(hi, k_max) - lo + 1
+    hi = np.minimum(lo + _TURN_CLASS - 1, k_max)
+    count, width = hi - lo + 1, 2 * hi + 1
     start = np.cumsum(count * width) - count * width
     c = k // _TURN_CLASS
     where = start[c] + (k - lo[c]) * width[c] + hi[c] - q
     where.setflags(write=False)
-    spans = tuple(zip(start.tolist(), count.tolist(), width.tolist(), hi.tolist()))
-    return where, int((count * width).sum()), spans
+    ladder = islice(_d_ladder(2 * k_max, math.pi / 2), None, None, 2)
+    buffer = np.zeros(int((count * width**2).sum()))
+    classes, used = [], 0
+    for first, n, w, h, s in zip(lo.tolist(), count.tolist(), width.tolist(), hi.tolist(), start.tolist()):
+        delta = buffer[used : used + n * w * w].reshape(n, w, w)
+        used += delta.size
+        for rank in range(first, first + n):
+            delta[rank - first, h - rank : h + rank + 1, h - rank : h + rank + 1] = next(ladder)
+        delta.setflags(write=False)
+        classes.append((slice(s, s + n * w), n, w, h, delta))
+    buffer.setflags(write=False)
+    return where, int((count * width).sum()), tuple(classes)
 
 
 def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorParams:
@@ -488,25 +463,22 @@ def rotate_t(t: TensorParams, phi: float, theta: float, psi: float) -> TensorPar
 
         d^k(theta) = diag(i^-q) Delta^T diag(e^{i q theta}) Delta diag(i^q),
 
-    with Delta = d^k(pi/2) cached once for all calls.  The outer phases act
-    on the whole flat table at once; each pass with Delta or Delta^T is one
-    stacked product per size class of ranks (``_turn_classes``), with every
-    rank zero-padded to its class's width, whatever the angles.
+    with Delta = d^k(pi/2) from one plan per spin, built on first use
+    (``_turn_plan``).  The outer phases act on the whole flat table at once;
+    each pass with Delta or Delta^T is one stacked product per size class
+    of ranks, every rank zero-padded to its class's width.
     """
     _check_angles(phi=phi, theta=theta, psi=psi)
     kmax = t.max_rank
-    top, classes = _turn_classes(kmax)
-    where, size, spans = _turn_layout(kmax, top)
+    where, size, classes = _turn_plan(kmax)
     _, q, _, _ = _rank_layout(kmax)
     steps = np.arange(-kmax, kmax + 1)
     quarter = np.array([1, 1j, -1, -1j])[steps % 4]  # i^q, exact
     x = np.zeros(size, dtype=complex)
     x[where] = t._flat * (np.exp(1j * psi * steps) * quarter)[q + kmax]
-    widest = spans[-1][3]
-    turn = np.exp(1j * theta * np.arange(widest, -widest - 1, -1))  # q descending, as the rows of Delta
-    for (start, count, width, hi), stack in zip(spans, classes):
-        s, delta = slice(start, start + count * width), stack[:count]
-        y = _real_product(delta, x[s].reshape(count, width, 1)) * turn[widest - hi : widest + hi + 1, None]
+    turn = np.exp(1j * theta * steps[::-1])  # q descending, as the rows of Delta
+    for s, count, width, hi, delta in classes:
+        y = _real_product(delta, x[s].reshape(count, width, 1)) * turn[kmax - hi : kmax + hi + 1, None]
         x[s] = _real_product(delta.transpose(0, 2, 1), y).reshape(-1)
     return TensorParams._from_flat(t.j, x[where] * (np.exp(1j * phi * steps) * quarter.conj())[q + kmax])
 

@@ -13,18 +13,22 @@ from spinaxes import (
     NonClassicalWarning,
     QuadratureGrid,
     SphericalExpansion,
+    TensorParams,
     ValidationError,
     cg_value,
     coherent_state,
     default_grid,
     expansion_from_function,
+    mar_polynomial,
     maximally_mixed,
     multipole_scale,
     product_state_in_jm,
     rho_from_distribution,
     rho_to_t,
     spherical_harmonic,
+    symmetric_subspace_unitary,
     t_from_distribution,
+    tau_operator,
     wigner_D_matrix,
     ylm_squared_t,
 )
@@ -124,6 +128,48 @@ class TestMultipoleScale:
         assert multipole_scale(h(3), 0) == pytest.approx(math.sqrt(4.0 * math.pi), abs=1e-15)
 
 
+def _table_of(dj):
+    return TensorParams.from_table(h(dj), {})
+
+
+class TestIntegerArguments:
+    """A rank, order or degree that is not an int, or is a bool, ends in a DomainError naming it."""
+
+    @pytest.mark.parametrize(
+        "call, args, name",
+        [
+            (multipole_scale, (2, 1.5), "rank k"),
+            (multipole_scale, (2, True), "rank k"),
+            (ylm_squared_t, (True, 0, 1), "degree and order"),
+            (ylm_squared_t, (2, 0.0, 1), "degree and order"),
+            (default_grid, (True, 1), "l_max"),
+            (lambda k: _table_of(2).rank(k), (1.5,), "rank k"),
+            (lambda k: _table_of(2).rank(k), (True,), "rank k"),
+            (lambda q: _table_of(2).item(1, q), (0.5,), "order q"),
+            (lambda q: _table_of(2).item(1, q), (False,), "order q"),
+            (tau_operator, (1, True, 0), "rank and order"),
+            (spherical_harmonic, (True, 0, 0.1, 0.2), "spherical harmonic degree and order"),
+        ],
+        ids=["scale-float", "scale-bool", "ylm-bool", "ylm-float", "grid-bool", "rank-float", "rank-bool",
+             "item-float", "item-bool", "tau-bool", "harmonic-bool"],
+    )
+    def test_rejected_with_its_name(self, call, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            call(*args)
+
+    def test_bools_are_not_ranks_or_qubit_counts(self):
+        with pytest.raises(DomainError, match="^rank k = True outside 1 .. 2$"):
+            mar_polynomial(_table_of(2), True)
+        with pytest.raises(DomainError, match="^need at least one qubit, got True$"):
+            symmetric_subspace_unitary(True)
+
+    def test_numpy_integers_are_ints(self):
+        k = np.int64(1)
+        assert multipole_scale(2, k) == multipole_scale(2, 1)
+        np.testing.assert_array_equal(_table_of(2).rank(k), _table_of(2).rank(1))
+        assert _table_of(2).item(k, -k) == _table_of(2).item(1, -1)
+
+
 class TestCoherentMultipoles:
     def test_tensor_parameters_are_scaled_harmonics(self):
         rng = np.random.default_rng(8)
@@ -173,6 +219,45 @@ class TestQuadratureGrid:
             QuadratureGrid.build(0, 5)
         with pytest.raises(DomainError):
             QuadratureGrid.for_band_limit(-1)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("theta", np.full((3, 1), 1.0)),
+            ("theta", [0.5, math.nan, 2.0]),
+            ("theta_weights", [1.0, math.inf, 1.0]),
+            ("phi", np.zeros((1, 5))),
+            ("phi", [0.0, math.nan]),
+            ("phi", []),
+        ],
+        ids=["theta-2d", "theta-nan", "weights-inf", "phi-2d", "phi-nan", "phi-empty"],
+    )
+    def test_constructor_rejects_arrays_that_are_not_finite_1d(self, name, bad):
+        g = QuadratureGrid.build(3, 5)
+        arrays = {"theta": g.theta, "phi": g.phi, "theta_weights": g.theta_weights, name: bad}
+        with pytest.raises(ValidationError, match=f"^{name} must be a non-empty 1-d array of finite values$"):
+            QuadratureGrid(**arrays)
+
+    def test_constructor_rejects_phi_nodes_that_weights_cannot_integrate(self):
+        # weights() assumes phi_p = 2 pi p / n; at 0.3 p the uniform weight's t^1_{+-1} read +-0.519 - 0.355i
+        g = QuadratureGrid.build(3, 5)
+        with pytest.raises(ValidationError, match="^phi nodes must be 2 pi p / n_phi"):
+            QuadratureGrid(g.theta, 0.3 * np.arange(5), g.theta_weights)
+        with pytest.raises(ValidationError, match="^phi nodes must be 2 pi p / n_phi"):
+            QuadratureGrid(g.theta, g.phi + 1e-11, g.theta_weights)
+        near = QuadratureGrid(g.theta, g.phi + 1e-13, g.theta_weights)  # within 1e-12
+        t = t_from_distribution(SphericalExpansion.uniform(), 1, near)
+        assert np.abs(t.rank(1)).max() < 1e-14
+
+    def test_constructor_copies_the_callers_arrays(self):
+        g = QuadratureGrid.build(3, 5)
+        theta, phi, weights = g.theta.copy(), g.phi.copy(), g.theta_weights.copy()
+        copy = QuadratureGrid(theta, phi, weights)
+        for a in (theta, phi, weights):
+            a[0] = 7.0  # still the caller's to write
+        np.testing.assert_array_equal(copy.theta, g.theta)
+        np.testing.assert_array_equal(copy.phi, g.phi)
+        np.testing.assert_array_equal(copy.theta_weights, g.theta_weights)
 
     def test_default_grid_checks_spin_and_degree_first(self):
         # band l_max + 2j is built only from values inside the supported range

@@ -1,7 +1,11 @@
 """Tensor operators, tensor parameters, and the density-matrix maps."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +23,10 @@ from spinaxes import (
     rotate_t,
     t_to_rho,
     tau_operator,
+    wigner_d_matrix,
 )
 from spinaxes.pfunc import SphericalExpansion, default_grid, t_from_distribution, ylm_squared_t
-from spinaxes.tensors import _conjugation_mirror, _order_stack, _quarter_turns, _real_product, _turn_layout
+from spinaxes.tensors import _conjugation_mirror, _order_stack, _real_product, _turn_plan
 
 from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
 
@@ -448,7 +453,7 @@ class TestRotation:
 
     def test_quarter_turn_tables_are_read_only(self):
         rotate_t(rho_to_t(maximally_mixed(h(8))), 0.1, 0.2, 0.3)
-        tables = _quarter_turns(8)
+        tables = _plan_tables(8)
         assert len(tables) >= 9
         for k, d in enumerate(tables[:9]):
             assert d.shape == (2 * k + 1, 2 * k + 1)
@@ -493,13 +498,23 @@ class TestRealProduct:
         assert t.max_abs_diff(rho_to_t(t_to_rho(t))) < 1e-13
 
 
+def _plan_tables(k_max):
+    """d^k(pi/2) for k = 0 .. k_max, rows and columns q = +k .. -k: views of the stacks of _turn_plan(k_max)."""
+    tables = []
+    for _, count, _, hi, delta in _turn_plan(k_max)[2]:
+        ranks = range(hi - count + 1, hi + 1)
+        tables += [delta[r, hi - k : hi + k + 1, hi - k : hi + k + 1] for r, k in enumerate(ranks)]
+    return tables
+
+
 class TestStackedRotation:
     """rotate_t's stacked passes against the per-rank product from the quarter-turn tables."""
 
     @staticmethod
     def _per_rank(t, phi, theta, psi, k):
-        # d^k(theta) = diag(i^-q) Delta^T diag(e^{i q theta}) Delta diag(i^q), q = +k .. -k
-        delta = _quarter_turns(k)[k]
+        # d^k(theta) = diag(i^-q) Delta^T diag(e^{i q theta}) Delta diag(i^q), q = +k .. -k;
+        # wigner_d_matrix runs the plan's ladder, so Delta has the plan's bits
+        delta = wigner_d_matrix(k, math.pi / 2)
         q = np.arange(k, -k - 1, -1)
         into = np.exp(1j * psi * q) * 1j**q
         out = np.exp(1j * phi * q) * (-1j) ** q
@@ -507,7 +522,7 @@ class TestStackedRotation:
 
     def test_each_rank_is_the_per_rank_product(self):
         rng = np.random.default_rng(71)
-        # 60 first, so the tables built for it serve the spins after it
+        # 60 first: the plan built for it must not change the spins after it
         for dj in (60, 4, 40, 12, 0, 1, 2):
             t = rho_to_t(SpinDensityMatrix(h(dj), random_density(rng, dj + 1)))
             angles = rng.uniform(0.0, 2.0 * math.pi, 3)
@@ -518,20 +533,45 @@ class TestStackedRotation:
 
     def test_tables_are_views_of_one_read_only_stack(self):
         rotate_t(rho_to_t(maximally_mixed(h(40))), 0.1, 0.2, 0.3)
-        tables = _quarter_turns(40)
+        tables = _plan_tables(40)
         assert all(d.base is tables[0].base for d in tables)
         assert not tables[0].base.flags.writeable
         for k in (0, 1, 7, 8, 40):
             np.testing.assert_allclose(tables[k] @ tables[k].T, np.eye(2 * k + 1), atol=1e-13)
+            np.testing.assert_array_equal(tables[k], wigner_d_matrix(k, math.pi / 2))
 
     def test_layout_cache_is_bounded_and_read_only(self):
         rotate_t(rho_to_t(maximally_mixed(h(9))), 0.1, 0.2, 0.3)
-        assert _turn_layout.cache_info().maxsize is not None
-        assert _turn_layout.cache_info().currsize >= 1
-        where = _turn_layout(9, len(_quarter_turns(9)) - 1)[0]
+        assert _turn_plan.cache_info().maxsize is not None
+        assert _turn_plan.cache_info().currsize >= 1
+        where = _turn_plan(9)[0]
         assert sorted(set(where.tolist())) == sorted(where.tolist())  # one slot per entry
         with pytest.raises(ValueError):
             where[0] = 0
+
+    def test_a_spin_turns_the_same_whatever_was_turned_before(self):
+        # a fresh process, so that no plan built by an earlier test can hide a dependence on history
+        script = """
+import numpy as np
+from spinaxes import HalfInt, SpinDensityMatrix, rho_to_t, rotate_t
+
+def table(dj):
+    rng = np.random.default_rng(dj)
+    a = rng.normal(size=(dj + 1, dj + 1)) + 1j * rng.normal(size=(dj + 1, dj + 1))
+    rho = a @ a.conj().T
+    return rho_to_t(SpinDensityMatrix(HalfInt(dj), rho / np.trace(rho)))
+
+small = table(8)
+first = rotate_t(small, 0.3, 1.1, -2.0)._flat.view(np.int64)
+rotate_t(table(60), 0.3, 1.1, -2.0)
+again = rotate_t(small, 0.3, 1.1, -2.0)._flat.view(np.int64)
+print(int((first != again).sum()))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]  # float64 words that differ between the two turns
 
 
 def _bits(x):
