@@ -22,20 +22,23 @@ except the companion solve, which runs per rank:
 1. Zonal pass.  An exact k-fold axis, as in product states, comes back from
    the companion matrix as k roots scattered by about eps^(1/k), so every
    rank is first tried as one axis, the null vector of a 3 x 3 Gram matrix
-   (one reduceat, one stacked eigh).  A block rebuilt with an axis at Z has
-   a polynomial vanishing there, so its residual is at least the floor
+   (one reduceat, one stacked eigh); rank 1, one axis, is its zonal axis
+   with no trial.  A block rebuilt with an axis at Z has a polynomial
+   vanishing there, so its residual is at least the floor
    |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i); only ranks whose floor passes
    build the k-fold fit.  The floor only skips trials, never accepts one.
 2. Root pass.  Every other nonzero rank solves its companion matrix once;
    the companion rows come from one table, and one stacked Gram matrix
    pairs every rank's roots by nearest antipode; each pair is one axis.
    Axes of one rank within 0.5 rad join, nearest first, and every join of
-   the table gets its mean root and the same floor at once; a join whose
-   floor passes is tried, rank by rank in join order, and kept when the
-   block still rebuilds within the bound.
+   the table gets its mean root and the same floor at once.  Joins whose
+   floor passes are tried in waves, wave i fitting every rank's i-th such
+   join at once, and each is kept when its block still rebuilds within
+   the bound: the order of one loop over the joins, rank by rank.
 3. Final pass.  Every axis is canonicalized and sorted at once, every
    stretched tensor comes from one three-term recurrence over the axis
-   index, and every radius is fitted at once.
+   index, and every radius is fitted at once.  The zonal trials, the join
+   trials and this fit run through one fit of any list of ranks.
 
 One rule accepts a rank's axes: the residual max_q |t^k_q - r s^k_q| of
 the final fit is within the rank's bound, 1e-10 of the block's 2-norm or
@@ -154,9 +157,9 @@ def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
 class _Layout:
     """Read-only index tables of ranks 0 .. top, built once per top by ``_layout``.
 
-    Rank k's entries are ``entries(k)`` of the table's own flat layout (see
-    ``tensors._rank_layout``), and its k axes ``axes(k)`` of an axis table;
-    every per-rank array is indexed by rank, rank 0 holding no axis.
+    Rank k's entries of the table's own flat layout (see ``tensors._rank_layout``)
+    are those ``_segments`` lays out, and its k axes ``axes(k)`` of an axis
+    table; every per-rank array is indexed by rank, rank 0 holding no axis.
     """
 
     ranks: np.ndarray  # 0 .. top
@@ -166,12 +169,7 @@ class _Layout:
     ladder: np.ndarray  # sqrt(k(k+1) - q(q+1)) of J+: zero at q = k, so J+- stay within a rank
     starts: np.ndarray  # first entry of each rank
     axis_rank: np.ndarray  # rank of each axis row
-    axis_slot: np.ndarray  # place of each axis row among its rank's k
     pairs: np.ndarray  # every two axis rows a < b of one rank, rank by rank
-
-    @staticmethod
-    def entries(k: int) -> slice:
-        return slice(k * k, (k + 1) ** 2)
 
     @staticmethod
     def axes(k: int) -> slice:
@@ -192,7 +190,6 @@ def _layout(top: int) -> _Layout:
         ladder=np.sqrt(k * (k + 1) - q * (q + 1)),
         starts=ranks * ranks,
         axis_rank=axis_rank,
-        axis_slot=np.arange(len(axis_rank)) - first[axis_rank],
         pairs=np.concatenate([np.stack(np.triu_indices(r, 1), axis=1) + first[r] for r in ranks.tolist()]),
     )
     for a in vars(layout).values():
@@ -299,10 +296,13 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     violation raises :class:`ConsistencyError`.  Axes are sorted by
     descending theta, then ascending phi.
     """
+    for name, n in (("rank k", k), ("count of roots at infinity", count_at_infinity)):
+        if not _is_int(n):
+            raise DomainError(f"{name} must be an int, got {n!r}")
     z: list = []
     for root, mult in roots:
-        if mult < 1:
-            raise DomainError(f"multiplicity {mult} is not positive")
+        if not _is_int(mult) or mult < 1:
+            raise DomainError(f"multiplicity must be a positive int, got {mult!r}")
         z.extend([complex(root)] * mult)
     z.extend([complex(math.inf)] * count_at_infinity)
     if len(z) != 2 * k:
@@ -322,18 +322,25 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     return _axis_list(*_sorted_axes(directions, np.zeros(k, dtype=int)))
 
 
-def _residual_floors(coeffs, z: np.ndarray, entries, owner: np.ndarray, starts: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Lower bound on the fit residual of every block rebuilt with an axis at each z[g].
+def _segments(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat-table entries of the ranks ks, rank by rank: each one's index and segment, and each segment's start."""
+    sizes = 2 * ks + 1
+    owner = np.repeat(np.arange(len(ks)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(len(owner)) + (ks * ks - starts)[owner], owner, starts
 
-    Block g is the rank whose entries of the flat table are the segment of
-    ``entries`` at ``starts[g]`` (``owner`` names each entry's block), and
-    ``coeffs`` the flat table of the ranks' polynomials.  Such a block's
+
+def _residual_floors(coeffs, z: np.ndarray, ks: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Lower bound on the fit residual of each rank ks[g] rebuilt with an axis at z[g].
+
+    ``coeffs`` is the flat table of the ranks' polynomials.  Such a block's
     polynomial vanishes at Z, so for every radius r
     |P_t(Z)| = |sum_i sqrt(C(2k, i)) (t - r s)_{i-k} Z^(2k-i)|
              <= max_q |t_q - r s_q| * sum_i sqrt(C(2k, i)) |Z|^(2k-i).
     Beyond the unit circle both sums are taken at 1/Z on the reversed
     coefficients (the binomials are symmetric), so Z = inf gives |t^k_{-k}|.
     """
+    entries, owner, starts = _segments(ks)
     outer = np.abs(z) > 1.0
     k, q = layout.k[entries], layout.q[entries]
     powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), 2 * layout.ranks[-1] + 1, increasing=True)
@@ -360,24 +367,21 @@ def _zonal_axes(flat: np.ndarray, q: np.ndarray, ladder: np.ndarray, starts: np.
 
 
 def _zonal_pass(flat, coeffs, nonzero, bound, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """Every rank's zonal axis, and whether the rank is that axis k times.
+    """Every rank's zonal axis, k times in an axis table, and whether the rank is that axis k times.
 
-    Only ranks whose residual floor at the root Z = (x + iy)/(1 + z) of the
-    upper end of their zonal axis is within the bound build the k-fold fit.
+    Rank 1 is its zonal axis.  Of the others, only ranks whose residual floor
+    at the root Z = (x + iy)/(1 + z) of the upper end of their zonal axis is
+    within the bound build the k-fold fit.
     """
     zonal = _zonal_axes(flat, layout.q, layout.ladder, layout.starts)
     x, y, w = (zonal * np.where(zonal[:, 2:] >= 0.0, 1.0, -1.0)).T
-    floors = _residual_floors(coeffs, (x + 1j * y) / (1.0 + w), slice(None), layout.k, layout.starts, layout)
-    tried = np.flatnonzero(nonzero & (floors <= bound))
-    single = np.zeros(len(zonal), dtype=bool)
+    floors = _residual_floors(coeffs, (x + 1j * y) / (1.0 + w), layout.ranks, layout)
+    directions = np.repeat(zonal, layout.ranks, axis=0)
+    single = nonzero & (layout.ranks == 1)
+    tried = np.flatnonzero(nonzero & (floors <= bound) & (layout.ranks > 1))
     if tried.size:
-        # the n ranks 0 .. the highest tried: the first entries of the table
-        n = tried[-1] + 1
-        counts = np.zeros(n, dtype=int)
-        counts[tried] = tried
-        residuals = _rebuilt(flat, np.broadcast_to(zonal[:n, None], (n, n - 1, 3)), counts, layout)[1]
-        single[tried] = (residuals <= bound[:n])[tried]
-    return zonal, single
+        single[tried] = _rebuilt(flat, directions, tried, layout)[1] <= bound[tried]
+    return directions, single
 
 
 def _joins(z, points, pairs, directions, chosen, layout: _Layout) -> tuple[list, np.ndarray, np.ndarray]:
@@ -426,10 +430,11 @@ def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layo
     Only the companion solve runs per rank.  Over the table: the companion
     rows, a root table padded with roots at infinity, the pairing, the
     axes, and the joins of close axes with their mean roots and residual
-    floors.  Each join whose floor is within its rank's bound is tried,
-    rank by rank in join order, and kept when the block still rebuilds
-    within the bound.  No axis is judged here; ``extract_mar`` judges every
-    rank by its final residual.
+    floors.  Joins come rank by rank, so wave i holds each rank's i-th join
+    whose floor is within its rank's bound; a wave is fitted at once, and a
+    join kept when its block still rebuilds within the bound, before the
+    next wave.  No axis is judged here; ``extract_mar`` judges every rank by
+    its final residual.
     """
     col = np.arange(2 * ks[-1] + 1)
     index = np.where(col <= 2 * ks[:, None], layout.starts[ks, None] + col, len(coeffs))
@@ -451,17 +456,18 @@ def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layo
     joins, join_ranks, means = _joins(z, points, pairs, directions, chosen, layout)
     if not joins:
         return
-    sizes = 2 * join_ranks + 1
-    owner = np.repeat(np.arange(len(joins)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    entries = np.arange(len(owner)) + (layout.starts[join_ranks] - starts)[owner]
-    tried = np.flatnonzero(_residual_floors(coeffs, means, entries, owner, starts, layout) <= bound[join_ranks])
-    for g, point in zip(tried.tolist(), _sphere_points(means[tried])):
-        k, members = int(join_ranks[g]), joins[g]
-        trial = directions[layout.axes(k)].copy()
-        trial[np.array(members) - layout.axes(k).start] = point
-        if fit_radius(flat[layout.entries(k)], _stretched(trial))[1] <= bound[k]:
-            directions[members] = point
+    tried = np.flatnonzero(_residual_floors(coeffs, means, join_ranks, layout) <= bound[join_ranks])
+    ranks, points = join_ranks[tried], _sphere_points(means[tried])
+    wave = np.arange(len(tried)) - np.searchsorted(ranks, ranks)
+    for i in range(wave.max(initial=-1) + 1):
+        now = np.flatnonzero(wave == i)
+        members = [joins[g] for g in tried[now].tolist()]
+        sizes = [len(m) for m in members]
+        moved, point = np.concatenate(members), np.repeat(points[now], sizes, axis=0)
+        trial = directions.copy()
+        trial[moved] = point
+        kept = np.repeat(_rebuilt(flat, trial, ranks[now], layout)[1] <= bound[ranks[now]], sizes)
+        directions[moved[kept]] = point[kept]
 
 
 def _stretched_rows(units: np.ndarray, counts) -> np.ndarray:
@@ -490,18 +496,18 @@ def _stretched_rows(units: np.ndarray, counts) -> np.ndarray:
     return prod.T
 
 
-def _rebuilt(flat: np.ndarray, units: np.ndarray, counts: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and residual of ranks k = 0 .. n - 1 of the flat table against s^k_q of the first counts[k] rows of units[k] (n, n - 1, 3)."""
-    entries = len(units) ** 2
-    k, q = layout.k[:entries], layout.q[:entries]
-    s = _stretched_rows(units, counts)[k, k + q] / layout.binomials[:entries]
-    return _fit(flat[:entries], s, layout.starts[: len(units)], k)
+def _rebuilt(flat: np.ndarray, directions: np.ndarray, ks: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and residual of each rank of ks (ascending) of the flat table against s^k_q of its rows of an axis table.
 
-
-def _stretched(units: np.ndarray) -> np.ndarray:
-    """s^k_q of k unit vectors (rows), q ascending: one row of ``_stretched_rows``."""
-    k = len(units)
-    return _stretched_rows(units[None], [k])[0] / _root_binomials(2 * k)
+    Every rank's stretched tensor and fit are computed on their own, so a
+    rank gets the same bits in any list of ranks.
+    """
+    # row r reads ks[-1] axis rows from rank ks[r]'s first; those past its k belong to the next ranks and go unread
+    units = directions[(ks * (ks - 1) // 2)[:, None] + np.arange(ks[-1])]
+    entries, owner, starts = _segments(ks)
+    k, q = layout.k[entries], layout.q[entries]
+    s = _stretched_rows(units, ks)[owner, k + q] / layout.binomials[entries]
+    return _fit(flat[entries], s, starts, owner)
 
 
 def axes_to_tensor(axes, k: int) -> np.ndarray:
@@ -510,13 +516,15 @@ def axes_to_tensor(axes, k: int) -> np.ndarray:
     The product of the quadratics ((x - iy)/sqrt2, sqrt2 z, -(x + iy)/sqrt2)
     of the unit vectors has the coefficients sqrt(C(2k, k+q)) s^k_q.
     """
+    if not _is_int(k):
+        raise DomainError(f"rank k must be an int, got {k!r}")
     axes = list(axes)
     if len(axes) != k:
         raise DomainError(f"need exactly k = {k} axes, got {len(axes)}")
     if k < 1:
         raise DomainError("rank must be at least one")
     theta, phi = np.array([(axis.theta, axis.phi) for axis in axes]).T
-    return _stretched(_unit_vectors(theta, phi))
+    return _stretched_rows(_unit_vectors(theta, phi)[None], [k])[0] / _root_binomials(2 * k)
 
 
 def _fit(flat: np.ndarray, s: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,6 +586,8 @@ class MarDecomposition:
     ranks: tuple
 
     def rank(self, k: int) -> RankDecomposition:
+        if not _is_int(k):
+            raise DomainError(f"rank k must be an int, got {k!r}")
         if not 1 <= k <= len(self.ranks):
             raise DomainError(f"rank {k} outside 1 .. {len(self.ranks)}")
         return self.ranks[k - 1]
@@ -614,18 +624,14 @@ def extract_mar(t: TensorParams) -> MarDecomposition:
     floor = _TABLE_RTOL * float(np.linalg.norm(flat))
     bound = np.maximum(_COLLAPSE_RTOL * np.sqrt(np.add.reduceat(size * size, layout.starts)), floor)
     coeffs = layout.binomials * flat
-    zonal, single = _zonal_pass(flat, coeffs, nonzero, bound, layout)
-    directions = np.repeat(zonal, layout.ranks, axis=0)
+    directions, single = _zonal_pass(flat, coeffs, nonzero, bound, layout)
     ks = np.flatnonzero(nonzero & ~single)
     if ks.size:
         _root_pass(flat, coeffs, bound, ks, directions, layout)
 
     # every axis of the table at once: canonical, sorted, fitted, and judged
     theta, phi = _sorted_axes(directions, layout.axis_rank)
-    padded = np.zeros((top + 1, top, 3))
-    padded[layout.axis_rank, layout.axis_slot] = _unit_vectors(theta, phi)
-    counts = np.where(nonzero, layout.ranks, 0)
-    radii, residuals = _rebuilt(flat, padded, counts, layout)
+    radii, residuals = _rebuilt(flat, _unit_vectors(theta, phi), layout.ranks, layout)
     over = np.flatnonzero(nonzero & ~(residuals <= bound))
     if over.size:
         k = over[0]
@@ -634,8 +640,8 @@ def extract_mar(t: TensorParams) -> MarDecomposition:
         )
     axes = _axis_list(theta, phi)
     entries = []
-    for k, count, r, residual in zip(layout.ranks.tolist(), counts.tolist(), radii.tolist(), residuals.tolist()):
-        if count:
+    for k, fitted, r, residual in zip(layout.ranks.tolist(), nonzero.tolist(), radii.tolist(), residuals.tolist()):
+        if fitted:
             entries.append(RankDecomposition(k, abs(r), -1 if r < 0 else 1, tuple(axes[layout.axes(k)]), residual))
         elif k:  # rank 0, t^0_0 = 1, is the normalization, not a rank of the decomposition
             entries.append(RankDecomposition(k, 0.0, 1, (), 0.0))
