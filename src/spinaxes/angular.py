@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .halfint import _is_int, halfint
+from .halfint import _index, halfint
 
 MAX_DOUBLED_J = 60
 # Couplings of two supported spins reach twice the single-spin cap.
@@ -299,12 +299,8 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     are produced from Y^l_{-m} = (-1)^m conj(Y^l_m), which keeps the
     conjugation identity exact in floating point.
     """
-    if not _is_int(l) or not _is_int(m):
-        raise DomainError("spherical harmonic degree and order must be ints")
-    if l < 0 or l > MAX_DEGREE:
-        raise DomainError(f"degree l = {l} outside the supported range")
-    if abs(m) > l:
-        raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")
+    _index(l, "degree l", 0, MAX_DEGREE)
+    _index(m, "order m", -l, l)
     _check_angles(theta=theta, phi=phi)
     if m < 0:
         y = spherical_harmonic(l, -m, theta, phi)

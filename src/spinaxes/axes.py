@@ -58,7 +58,7 @@ import numpy as np
 
 from .angular import _check_angles, _root_binomials, _scaled_direction
 from .errors import ConsistencyError, DomainError
-from .halfint import HalfInt, _is_int
+from .halfint import HalfInt, _index
 from .tensors import TensorParams, _rank_layout
 
 ROOT_CLUSTER_RTOL = 1e-7
@@ -148,8 +148,7 @@ def mar_polynomial(t: TensorParams, k: int) -> np.ndarray:
     The coefficient of Z^{2k-i} is sqrt(C(2k, i)) t^k_{i-k}; an all-zero
     rank yields the zero vector, which signals zero radius, not an error.
     """
-    if not _is_int(k) or not 1 <= k <= t.max_rank:
-        raise DomainError(f"rank k = {k} outside 1 .. {t.max_rank}")
+    k = _index(k, "rank k", 1, t.max_rank)
     return _root_binomials(2 * k) * t.rank(k)
 
 
@@ -296,14 +295,11 @@ def roots_to_axes(roots, count_at_infinity: int, k: int) -> list[Axis]:
     violation raises :class:`ConsistencyError`.  Axes are sorted by
     descending theta, then ascending phi.
     """
-    for name, n in (("rank k", k), ("count of roots at infinity", count_at_infinity)):
-        if not _is_int(n):
-            raise DomainError(f"{name} must be an int, got {n!r}")
+    _index(k, "rank k", 1, math.inf)
+    _index(count_at_infinity, "count of roots at infinity", 0, math.inf)
     z: list = []
     for root, mult in roots:
-        if not _is_int(mult) or mult < 1:
-            raise DomainError(f"multiplicity must be a positive int, got {mult!r}")
-        z.extend([complex(root)] * mult)
+        z.extend([complex(root)] * _index(mult, "multiplicity", 1, math.inf))
     z.extend([complex(math.inf)] * count_at_infinity)
     if len(z) != 2 * k:
         raise DomainError(f"got {len(z)} roots in total, expected 2k = {2 * k}")
@@ -516,13 +512,10 @@ def axes_to_tensor(axes, k: int) -> np.ndarray:
     The product of the quadratics ((x - iy)/sqrt2, sqrt2 z, -(x + iy)/sqrt2)
     of the unit vectors has the coefficients sqrt(C(2k, k+q)) s^k_q.
     """
-    if not _is_int(k):
-        raise DomainError(f"rank k must be an int, got {k!r}")
+    k = _index(k, "rank k", 1, math.inf)
     axes = list(axes)
     if len(axes) != k:
         raise DomainError(f"need exactly k = {k} axes, got {len(axes)}")
-    if k < 1:
-        raise DomainError("rank must be at least one")
     theta, phi = np.array([(axis.theta, axis.phi) for axis in axes]).T
     return _stretched_rows(_unit_vectors(theta, phi)[None], [k])[0] / _root_binomials(2 * k)
 
@@ -586,11 +579,7 @@ class MarDecomposition:
     ranks: tuple
 
     def rank(self, k: int) -> RankDecomposition:
-        if not _is_int(k):
-            raise DomainError(f"rank k must be an int, got {k!r}")
-        if not 1 <= k <= len(self.ranks):
-            raise DomainError(f"rank {k} outside 1 .. {len(self.ranks)}")
-        return self.ranks[k - 1]
+        return self.ranks[_index(k, "rank k", 1, len(self.ranks)) - 1]
 
     @property
     def max_residual(self) -> float:

@@ -96,6 +96,16 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _index(x, name: str, lo, hi, error: type = DomainError) -> int:
+    """x, an int or numpy integer in lo .. hi (hi may be math.inf), as an int; else ``error`` naming
+    it.  The one check of every rank, order, degree, grid size, qubit count and table key."""
+    if not _is_int(x):
+        raise error(f"{name} must be an int, got {x!r}")
+    if not lo <= x <= hi:
+        raise error(f"{name} = {x} outside {lo} .. {hi}")
+    return int(x)
+
+
 def m_range(j: HalfInt) -> list[HalfInt]:
     """Magnetic quantum numbers from +j down to -j in steps of one."""
     if j.doubled < 0:

@@ -69,7 +69,7 @@ import numpy as np
 
 from .angular import MAX_DEGREE, _check_angles, _legendre_table, _root_binomials
 from .errors import DomainError, NonClassicalWarning, ValidationError
-from .halfint import HalfInt, _is_int
+from .halfint import HalfInt, _index
 from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
 # the shared rank-table layout
 from .tensors import _checked_blocks, _entry_flat, _from_half, _half_table, _rank_layout, _real_product, _split
@@ -98,11 +98,7 @@ def _coherent_amplitudes(dj: int, theta: np.ndarray, phi: np.ndarray) -> np.ndar
 def multipole_scale(j, k: int) -> float:
     """The constant c_k(j) = sqrt(4 pi) <j j, k 0 | j j>, from its closed form."""
     j = _spin(j)
-    if not _is_int(k):
-        raise DomainError(f"rank k must be an int, got {k!r}")
-    if not 0 <= k <= j.doubled:
-        raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
-    return float(_multipole_scales(j.doubled)[k])
+    return float(_multipole_scales(j.doubled)[_index(k, "rank k", 0, j.doubled)])
 
 
 @lru_cache(maxsize=None)
@@ -116,11 +112,6 @@ def _multipole_scales(dj: int) -> np.ndarray:
     scales = np.array([math.sqrt(4 * math.pi * r) for r in ratios])
     scales.setflags(write=False)
     return scales
-
-
-def _check_l_max(l_max) -> None:
-    if not _is_int(l_max) or not 0 <= l_max <= MAX_DEGREE:
-        raise DomainError(f"l_max must be an int in 0 .. {MAX_DEGREE}, got {l_max!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +141,8 @@ class QuadratureGrid:
 
     @classmethod
     def build(cls, n_theta: int, n_phi: int) -> "QuadratureGrid":
-        if n_theta < 1 or n_phi < 1:
-            raise DomainError("grid sizes must be positive")
+        _index(n_theta, "n_theta", 1, math.inf)
+        _index(n_phi, "n_phi", 1, math.inf)
         x, w = np.polynomial.legendre.leggauss(n_theta)
         return cls(np.arccos(x), np.arange(n_phi) * (2 * math.pi / n_phi), w)
 
@@ -165,9 +156,7 @@ class QuadratureGrid:
         of a degree-L expansion.  Shared, like every grid ``_exact_grid``
         builds.
         """
-        if band_limit < 0:
-            raise DomainError("band limit must be non-negative")
-        return _exact_grid(2 * band_limit + 2)
+        return _exact_grid(2 * _index(band_limit, "band_limit", 0, math.inf) + 2)
 
     @property
     def n_theta(self) -> int:
@@ -206,7 +195,7 @@ class SphericalExpansion:
     blocks: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_l_max(self.l_max)
+        _index(self.l_max, "l_max", 0, MAX_DEGREE)
         if len(self.blocks) != self.l_max + 1:
             raise ValidationError(f"expected blocks for l = 0 .. {self.l_max}")
         flat = _checked_blocks(self.blocks, "degree", "the reality condition conj(a^l_m) = (-1)^m a^l_-m")
@@ -215,8 +204,7 @@ class SphericalExpansion:
 
     @classmethod
     def from_table(cls, l_max: int, table: Mapping) -> "SphericalExpansion":
-        _check_l_max(l_max)
-        return cls(l_max, _split(_entry_flat(l_max, table, "degree", "m")))
+        return cls(l_max, _split(_entry_flat(_index(l_max, "l_max", 0, MAX_DEGREE), table, "degree l", "order m")))
 
     @classmethod
     def uniform(cls) -> "SphericalExpansion":
@@ -224,11 +212,8 @@ class SphericalExpansion:
         return cls(0, (np.array([1.0 / math.sqrt(4 * math.pi)], dtype=complex),))
 
     def item(self, l: int, m: int) -> complex:
-        if not 0 <= l <= self.l_max:
-            raise DomainError(f"degree {l} outside 0 .. {self.l_max}")
-        if abs(m) > l:
-            raise DomainError(f"order m = {m} outside |m| <= {l}")
-        return complex(self.blocks[l][m + l])
+        _index(l, "degree l", 0, self.l_max)
+        return complex(self.blocks[l][_index(m, "order m", -l, l) + l])
 
     @property
     def norm_integral(self) -> float:
@@ -362,8 +347,7 @@ def default_grid(l_max: int, j) -> QuadratureGrid:
     explicit grid the library routes use smaller ones (see the module
     docstring).
     """
-    _check_l_max(l_max)
-    return QuadratureGrid.for_band_limit(l_max + _spin(j).doubled)
+    return QuadratureGrid.for_band_limit(_index(l_max, "l_max", 0, MAX_DEGREE) + _spin(j).doubled)
 
 
 @lru_cache(maxsize=32)
@@ -485,7 +469,7 @@ def expansion_from_function(f, l_max: int, grid: QuadratureGrid | None = None) -
     a^l_m = integral f Y^l_m dOmega; exact for band-limited f on the
     default grid, a least-squares style truncation otherwise.
     """
-    _check_l_max(l_max)
+    _index(l_max, "l_max", 0, MAX_DEGREE)
     if grid is None:
         grid = QuadratureGrid.for_band_limit(2 * l_max)
     vals = _values_on_grid(f, grid)
@@ -503,12 +487,8 @@ def ylm_squared_t(l: int, m: int, j) -> TensorParams:
     c_k is the closed-form table of :func:`multipole_scale`.
     """
     j = _spin(j)
-    if not _is_int(l) or not _is_int(m):
-        raise DomainError("degree and order must be ints")
-    if l < 0 or abs(m) > l:
-        raise DomainError(f"invalid harmonic indices l = {l}, m = {m}")
-    if l > MAX_DEGREE:
-        raise DomainError(f"degree l = {l} exceeds the supported range (l <= {MAX_DEGREE})")
+    _index(l, "degree l", 0, MAX_DEGREE)
+    _index(m, "order m", -l, l)
     gaunt, scales = _order_block(2 * l, 0), _multipole_scales(j.doubled)
     table = {}
     for k in range(2, min(j.doubled, 2 * l) + 1, 2):

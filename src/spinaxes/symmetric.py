@@ -18,7 +18,7 @@ import numpy as np
 
 from .angular import MAX_DOUBLED_J, _scaled_direction
 from .errors import DomainError, ValidationError
-from .halfint import HalfInt, _is_int
+from .halfint import HalfInt, _index
 from .pfunc import _coherent_amplitudes, coherent_state
 from .tensors import SpinDensityMatrix
 
@@ -88,7 +88,7 @@ def symmetric_subspace_unitary(n_qubits: int) -> np.ndarray:
     descending inside a group, so rows 0 .. n_qubits span the symmetric
     subspace j = n_qubits / 2.
     """
-    _check_qubits(n_qubits, MAX_QUBITS)
+    _index(n_qubits, "n_qubits", 1, MAX_QUBITS)
     up = np.array([1.0, 0.0])
     down = np.array([0.0, 1.0])
     # Each sector is (doubled_j, rows) with rows[i] the state of m = j - i.
@@ -127,21 +127,13 @@ def symmetrize_pair(d1: BlochVector, d2: BlochVector) -> tuple[np.ndarray, float
     return rho, float(coupled[3, 3].real)
 
 
-def _check_qubits(n_qubits, top: int = MAX_DOUBLED_J) -> None:
-    """Reject a qubit count outside 1 .. top before anything is allocated."""
-    if not _is_int(n_qubits) or n_qubits < 1:
-        raise DomainError(f"need at least one qubit, got {n_qubits!r}")
-    if n_qubits > top:
-        raise DomainError(f"{n_qubits} qubits exceeds the supported maximum of {top}")
-
-
 def product_state_in_jm(direction: BlochVector, n_qubits: int) -> SpinDensityMatrix:
     """The N-fold product of one pure qubit, written in the |j m> ladder.
 
     The product state of N aligned qubits is the spin-N/2 coherent state
     along the same direction.
     """
-    _check_qubits(n_qubits)
+    _index(n_qubits, "n_qubits", 1, MAX_DOUBLED_J)
     vec = coherent_state(HalfInt(n_qubits), direction.theta, direction.phi)
     return SpinDensityMatrix(HalfInt(n_qubits), np.outer(vec, vec.conj()))
 
@@ -154,7 +146,7 @@ class SeparableEnsemble:
     terms: tuple
 
     def __post_init__(self) -> None:
-        _check_qubits(self.n_qubits)
+        _index(self.n_qubits, "n_qubits", 1, MAX_DOUBLED_J)
         terms = []
         for weight, direction in self.terms:
             w = float(weight)

@@ -59,19 +59,13 @@ import warnings
 
 from .angular import MAX_DOUBLED_J, _check_angles, _d_ladder
 from .errors import DomainError, NonPhysicalWarning, ValidationError
-from .halfint import HalfInt, _is_int, dimension, halfint
+from .halfint import HalfInt, _index, dimension, halfint
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 TENSOR_TOL = 1e-12
 _CONJUGATION = "conj(t^k_q) = (-1)^q t^k_-q"
-
-
-def _conjugation_mirror(a: np.ndarray) -> np.ndarray:
-    """(-1)^q conj(a_-q), q ascending; a block obeying the conjugation identity is its own."""
-    k = (len(a) - 1) // 2
-    return a[::-1].conj() * (-1.0) ** np.arange(-k, k + 1)
 
 
 def _first_rank(bad: np.ndarray) -> int | None:
@@ -129,15 +123,13 @@ def _checked_blocks(blocks, noun: str, identity: str, normalized: bool = False) 
     return _checked_flat(flat, noun, identity, normalized, misshaped)
 
 
-def _entry_flat(top: int, table: Mapping, noun: str, order: str) -> np.ndarray:
-    """Flat layout of ranks 0 .. top from a {(k, q): value} mapping, zero where it has no entry."""
+def _entry_flat(top: int, table: Mapping, rank: str, order: str) -> np.ndarray:
+    """Flat layout of ranks 0 .. top from a {(k, q): value} mapping, zero where it has no entry; a key
+    out of range raises ValidationError naming its ``rank`` or ``order``."""
     flat = np.zeros((top + 1) ** 2, dtype=complex)
     for (k, q), v in table.items():
-        if not 0 <= k <= top:
-            raise ValidationError(f"{noun} {k} outside 0 .. {top}")
-        if not -k <= q <= k:
-            raise ValidationError(f"order {order} = {q} outside |{order}| <= {k}")
-        flat[k * k + k + q] = v
+        _index(k, rank, 0, top, ValidationError)
+        flat[k * k + k + _index(q, order, -k, k, ValidationError)] = v
     return flat
 
 
@@ -280,7 +272,7 @@ class TensorParams:
         only value normalization allows.
         """
         j = _spin(j)
-        return cls._from_flat(j, _entry_flat(j.doubled, {(0, 0): 1.0, **table}, "rank", "q"))
+        return cls._from_flat(j, _entry_flat(j.doubled, {(0, 0): 1.0, **table}, "rank k", "order q"))
 
     @property
     def max_rank(self) -> int:
@@ -288,22 +280,11 @@ class TensorParams:
 
     def rank(self, k: int) -> np.ndarray:
         """Copy of the rank-k block, q ascending from -k to +k."""
-        return self.ranks[self._checked_rank(k)].copy()
+        return self.ranks[_index(k, "rank k", 0, self.max_rank)].copy()
 
     def item(self, k: int, q: int) -> complex:
-        block = self.ranks[self._checked_rank(k)]
-        if not _is_int(q):
-            raise DomainError(f"order q must be an int, got {q!r}")
-        if not -k <= q <= k:
-            raise DomainError(f"order q = {q} outside |q| <= {k}")
-        return complex(block[q + k])
-
-    def _checked_rank(self, k) -> int:
-        if not _is_int(k):
-            raise DomainError(f"rank k must be an int, got {k!r}")
-        if not 0 <= k <= self.max_rank:
-            raise DomainError(f"rank {k} outside 0 .. {self.max_rank}")
-        return k
+        block = self.ranks[_index(k, "rank k", 0, self.max_rank)]
+        return complex(block[_index(q, "order q", -k, k) + k])
 
     def table(self) -> dict:
         k, q, _, _ = _rank_layout(self.max_rank)
@@ -361,12 +342,8 @@ def tau_operator(j, k: int, q: int) -> np.ndarray:
     Matrix elements sqrt(2k+1) <j m, k q | j m'> in the descending-m basis.
     """
     j = _spin(j)
-    if not _is_int(k) or not _is_int(q):
-        raise DomainError("rank and order must be ints")
-    if not 0 <= k <= j.doubled:
-        raise DomainError(f"rank k = {k} outside 0 .. 2j = {j.doubled}")
-    if abs(q) > k:
-        raise DomainError(f"order q = {q} outside |q| <= {k}")
+    _index(k, "rank k", 0, j.doubled)
+    _index(q, "order q", -k, k)
     diagonal = _order_stack(j.doubled)[abs(q), k, : j.doubled + 1 - abs(q)]
     return (-1.0) ** max(q, 0) * np.diag(diagonal, q).astype(complex)
 

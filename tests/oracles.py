@@ -124,3 +124,9 @@ def rho_by_nodes(doubled_j: int, theta: np.ndarray, phi: np.ndarray, weights: np
     rho = (amps.T * weights) @ amps.conj()
     rho = 0.5 * (rho + rho.conj().T)
     return rho / rho.trace().real
+
+
+def _conjugation_mirror(a: np.ndarray) -> np.ndarray:
+    """(-1)^q conj(a_-q), q ascending; a block obeying the conjugation identity is its own."""
+    k = (len(a) - 1) // 2
+    return a[::-1].conj() * (-1.0) ** np.arange(-k, k + 1)

@@ -25,6 +25,7 @@ from spinaxes import (
     rho_to_t,
     roots_to_axes,
     rotate_t,
+    t_to_rho,
 )
 from spinaxes import axes
 
@@ -244,6 +245,10 @@ class TestRootsToAxes:
         with pytest.raises(DomainError):
             roots_to_axes([(1j, 1), (-1j, 1)], 0, 2)
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(DomainError, match="^rank k = 0 outside 1 .. inf$"):
+            roots_to_axes([], 0, 0)
+
     def test_sorted_output(self):
         # z-axis (theta 0) and equatorial x-axis (theta pi/2): equator first
         axes = roots_to_axes([(0j, 1), (1.0 + 0j, 1), (-1.0 + 0j, 1)], 1, 2)
@@ -351,6 +356,17 @@ class TestExtractMar:
             assert a.theta == pytest.approx(math.pi / 2.0, abs=1e-8)
             assert a.phi == pytest.approx(math.pi / 2.0, abs=1e-8)
         assert collinearity_check(m)
+
+    def test_spin_zero_has_no_ranks(self):
+        rho = SpinDensityMatrix(h(0), np.eye(1))
+        t = rho_to_t(rho)
+        m = extract_mar(t)
+        assert m.j == h(0)
+        assert m.ranks == ()
+        assert m.max_residual == 0.0
+        assert collinearity_check(m)
+        assert rotate_t(t, 0.3, 1.1, 2.0).table() == {(0, 0): 1.0}
+        np.testing.assert_array_equal(t_to_rho(t).matrix, rho.matrix)
 
     def test_rank_accessor_bounds(self):
         m = extract_mar(paper_tensor())

@@ -297,6 +297,12 @@ class TestMar:
             assert axis["phi"] == pytest.approx(math.pi / 2.0, abs=1e-8)
         assert doc["collinear"] is True
 
+    def test_spin_zero_state(self, tmp_path):
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"schema_version": 1, "j_doubled": 0, "matrix": [[[1.0, 0.0]]]}))
+        doc = json.loads(run_cli("mar", str(p), "--json").stdout)
+        assert doc == {"j_doubled": 0, "ranks": [], "collinear": True}
+
     def test_accepts_ensemble_and_tensor_files(self, tmp_path):
         ens = tmp_path / "ens.json"
         ens.write_text(
@@ -568,3 +574,7 @@ class TestCgAndTau:
 
     def test_tau_out_of_range(self):
         run_cli("tau", "--j", "1/2", "2", "0", expect=2)
+
+    def test_tau_out_of_range_names_the_rank(self):
+        res = run_cli("tau", "--j", "1", "5", "0", expect=2)
+        assert res.stderr == "error: rank k = 5 outside 0 .. 2\n"

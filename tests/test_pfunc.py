@@ -36,9 +36,8 @@ from spinaxes import pfunc as pfunc_module
 from spinaxes.pfunc import _exact_grid, _grid_legendre_table, _legendre_table, _phases, _state_grid, _state_indices
 from spinaxes.pfunc import _tensor_and_minimum, _values_on_grid
 from spinaxes.symmetric import BlochVector
-from spinaxes.tensors import _conjugation_mirror
 
-from oracles import jx_matrix, jy_matrix, jz_matrix, rho_by_nodes
+from oracles import _conjugation_mirror, jx_matrix, jy_matrix, jz_matrix, rho_by_nodes
 
 h = HalfInt
 
@@ -140,27 +139,52 @@ class TestIntegerArguments:
         [
             (multipole_scale, (2, 1.5), "rank k"),
             (multipole_scale, (2, True), "rank k"),
-            (ylm_squared_t, (True, 0, 1), "degree and order"),
-            (ylm_squared_t, (2, 0.0, 1), "degree and order"),
+            (ylm_squared_t, (True, 0, 1), "degree l"),
+            (ylm_squared_t, (2, 0.0, 1), "order m"),
             (default_grid, (True, 1), "l_max"),
             (lambda k: _table_of(2).rank(k), (1.5,), "rank k"),
             (lambda k: _table_of(2).rank(k), (True,), "rank k"),
             (lambda q: _table_of(2).item(1, q), (0.5,), "order q"),
             (lambda q: _table_of(2).item(1, q), (False,), "order q"),
-            (tau_operator, (1, True, 0), "rank and order"),
-            (spherical_harmonic, (True, 0, 0.1, 0.2), "spherical harmonic degree and order"),
+            (tau_operator, (1, True, 0), "rank k"),
+            (spherical_harmonic, (True, 0, 0.1, 0.2), "degree l"),
+            (QuadratureGrid.build, (2.5, 3), "n_theta"),
+            (QuadratureGrid.build, (True, 3), "n_theta"),
+            (QuadratureGrid.build, (3, 2.0), "n_phi"),
+            (QuadratureGrid.for_band_limit, (3.0,), "band_limit"),
+            (QuadratureGrid.for_band_limit, (True,), "band_limit"),
+            (lambda m: SphericalExpansion.uniform().item(0, m), (0.0,), "order m"),
+            (lambda m: SphericalExpansion.uniform().item(0, m), (False,), "order m"),
         ],
         ids=["scale-float", "scale-bool", "ylm-bool", "ylm-float", "grid-bool", "rank-float", "rank-bool",
-             "item-float", "item-bool", "tau-bool", "harmonic-bool"],
+             "item-float", "item-bool", "tau-bool", "harmonic-bool", "build-float", "build-bool", "build-phi-float",
+             "band-float", "band-bool", "expansion-item-float", "expansion-item-bool"],
     )
     def test_rejected_with_its_name(self, call, args, name):
         with pytest.raises(DomainError, match=f"^{name} must be"):
             call(*args)
 
+    @pytest.mark.parametrize(
+        "build, key, name",
+        [
+            (TensorParams.from_table, (0.5, 0), "rank k"),
+            (TensorParams.from_table, (1, 0.0), "order q"),
+            (TensorParams.from_table, (True, 0), "rank k"),
+            (SphericalExpansion.from_table, (0.5, 0), "degree l"),
+            (SphericalExpansion.from_table, (1, 0.0), "order m"),
+            (SphericalExpansion.from_table, (True, 0), "degree l"),
+        ],
+        ids=["tensor-rank-float", "tensor-order-float", "tensor-rank-bool",
+             "expansion-degree-float", "expansion-order-float", "expansion-degree-bool"],
+    )
+    def test_table_keys_rejected_with_their_name(self, build, key, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an int, got "):
+            build(1, {key: 0.1})
+
     def test_bools_are_not_ranks_or_qubit_counts(self):
-        with pytest.raises(DomainError, match="^rank k = True outside 1 .. 2$"):
+        with pytest.raises(DomainError, match="^rank k must be an int, got True$"):
             mar_polynomial(_table_of(2), True)
-        with pytest.raises(DomainError, match="^need at least one qubit, got True$"):
+        with pytest.raises(DomainError, match="^n_qubits must be an int, got True$"):
             symmetric_subspace_unitary(True)
 
     def test_numpy_integers_are_ints(self):
@@ -168,6 +192,14 @@ class TestIntegerArguments:
         assert multipole_scale(2, k) == multipole_scale(2, 1)
         np.testing.assert_array_equal(_table_of(2).rank(k), _table_of(2).rank(1))
         assert _table_of(2).item(k, -k) == _table_of(2).item(1, -1)
+
+    def test_numpy_integer_sizes_and_keys(self):
+        n = np.int64(3)
+        np.testing.assert_array_equal(QuadratureGrid.build(n, n).theta, QuadratureGrid.build(3, 3).theta)
+        assert QuadratureGrid.for_band_limit(n) is QuadratureGrid.for_band_limit(3)
+        assert SphericalExpansion.uniform().item(np.int64(0), np.int64(0)) == SphericalExpansion.uniform().item(0, 0)
+        key = (np.int64(1), np.int64(0))
+        assert TensorParams.from_table(1, {key: 0.1}).item(1, 0) == 0.1
 
 
 class TestCoherentMultipoles:
@@ -249,6 +281,15 @@ class TestQuadratureGrid:
         t = t_from_distribution(SphericalExpansion.uniform(), 1, near)
         assert np.abs(t.rank(1)).max() < 1e-14
 
+    def test_constructor_rejects_weights_of_another_length(self):
+        g = QuadratureGrid.build(3, 5)
+        with pytest.raises(ValidationError, match="^theta nodes and weights differ in length$"):
+            QuadratureGrid(g.theta, g.phi, g.theta_weights[:-1])
+
+    def test_integrate_rejects_values_of_another_shape(self):
+        with pytest.raises(ValidationError, match=r"^values shape \(5, 3\) does not match grid \(3, 5\)$"):
+            QuadratureGrid.build(3, 5).integrate(np.ones((5, 3)))
+
     def test_constructor_copies_the_callers_arrays(self):
         g = QuadratureGrid.build(3, 5)
         theta, phi, weights = g.theta.copy(), g.phi.copy(), g.theta_weights.copy()
@@ -302,6 +343,10 @@ class TestSphericalExpansion:
     def test_reality_condition_enforced(self):
         with pytest.raises(ValidationError, match="reality"):
             SphericalExpansion.from_table(1, {(0, 0): 1.0 / math.sqrt(4 * math.pi), (1, 1): 0.2})
+
+    def test_block_count_must_match_l_max(self):
+        with pytest.raises(ValidationError, match="^expected blocks for l = 0 .. 2$"):
+            SphericalExpansion(2, SphericalExpansion.uniform().blocks)
 
     def test_from_table_round_trip(self):
         a = 1.0 / math.sqrt(4.0 * math.pi)
@@ -657,6 +702,16 @@ class TestDistributionRoutes:
         with pytest.raises(ValidationError, match="integrates"):
             t_from_distribution(lam, h(1))
 
+    def test_weight_must_be_an_expansion_or_a_callable(self):
+        with pytest.raises(DomainError, match="^cannot evaluate int as a weight function$"):
+            t_from_distribution(1, h(1), QuadratureGrid.build(3, 5))
+
+    def test_callable_returning_a_scalar_is_evaluated_node_by_node(self):
+        grid = QuadratureGrid.build(3, 5)
+        got = t_from_distribution(lambda th, ph: 1.0 / (4 * math.pi), h(2), grid)
+        want = t_from_distribution(SphericalExpansion.uniform(), h(2), grid)
+        assert got.max_abs_diff(want) < 1e-14
+
     def test_callable_needs_grid(self):
         with pytest.raises(DomainError, match="grid"):
             t_from_distribution(lambda th, ph: np.ones_like(th) / (4 * math.pi), h(1))
@@ -909,9 +964,9 @@ class TestYlmSquared:
         with pytest.raises(DomainError):
             ylm_squared_t(-1, 0, h(2))
         # checked before any table of size 2l + 1 is built
-        with pytest.raises(DomainError, match="supported range"):
+        with pytest.raises(DomainError, match="^degree l = 61 outside 0 .. 60$"):
             ylm_squared_t(61, 0, h(2))
-        with pytest.raises(DomainError, match="supported range"):
+        with pytest.raises(DomainError, match="^degree l = 100000000 outside 0 .. 60$"):
             ylm_squared_t(100_000_000, 0, h(2))
 
 

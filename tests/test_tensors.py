@@ -26,9 +26,9 @@ from spinaxes import (
     wigner_d_matrix,
 )
 from spinaxes.pfunc import SphericalExpansion, default_grid, t_from_distribution, ylm_squared_t
-from spinaxes.tensors import _conjugation_mirror, _order_stack, _real_product, _turn_plan
+from spinaxes.tensors import _order_stack, _real_product, _turn_plan
 
-from oracles import jplus_matrix, jy_matrix, jz_matrix, random_density
+from oracles import _conjugation_mirror, jplus_matrix, jy_matrix, jz_matrix, random_density
 
 h = HalfInt
 
@@ -227,6 +227,12 @@ class TestSpinDensityMatrix:
         assert [str(w.message) for w in caught] == want
         assert rho.is_physical == (rho.min_eigenvalue() >= PSD_FLOOR)
 
+    def test_rejects_non_finite_entry(self):
+        m = np.eye(2) / 2.0
+        m[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="^matrix has a non-finite entry$"):
+            SpinDensityMatrix(h(1), m)
+
     def test_matrix_is_read_only(self):
         rho = maximally_mixed(h(2))
         with pytest.raises(ValueError):
@@ -291,6 +297,14 @@ class TestTensorParams:
         blocks[k][-1] += 0.9e-12j if k == 0 else 1e-9
         with pytest.raises(ValidationError, match=f"^rank {k} violates conj"):
             TensorParams(h(12), tuple(blocks))
+
+    def test_block_count_must_match_the_spin(self):
+        with pytest.raises(ValidationError, match="^expected ranks 0 .. 2, got 2 blocks$"):
+            TensorParams(h(2), tuple(self._valid_blocks(1)))
+
+    def test_tables_of_different_spins_do_not_compare(self):
+        with pytest.raises(DomainError, match="^tensor parameter sets have different j$"):
+            TensorParams.from_table(h(1), {}).max_abs_diff(TensorParams.from_table(h(2), {}))
 
     def test_later_changes_to_inputs_do_not_leak(self):
         blocks = [b.copy() for b in self._valid_blocks(6)]
