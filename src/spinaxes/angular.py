@@ -22,17 +22,14 @@ quadratures of :mod:`spinaxes.pfunc` read the same table on their grids.
 Spin quantum numbers are supported up to doubled value 60 (j = 30);
 coupling ranks that arise from such spins go up to doubled value 120
 (rank 60), which is also the largest spherical-harmonic degree.
-
-All functions are pure and cache only immutable data, so they are safe to
-call from multiple threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -82,12 +79,29 @@ def _check_angles(**angles) -> None:
             raise DomainError(f"angle {name} has a non-finite value")
 
 
-@lru_cache(maxsize=None)
+def _freeze(x):
+    """x, with every array reachable from it read-only: through tuples, dataclass fields and array bases."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+        _freeze(x.base)
+    elif is_dataclass(x):
+        _freeze(tuple(getattr(x, f.name) for f in fields(x)))
+    elif isinstance(x, tuple):
+        for item in x:
+            _freeze(item)
+    return x
+
+
+def _table_cache(maxsize):
+    """``lru_cache(maxsize)`` around a table builder whose result ``_freeze`` makes read-only once, when built: no
+    call can change a table that a later call reads, so the package is safe to call from several threads."""
+    return lambda build: lru_cache(maxsize)(wraps(build)(lambda *key: _freeze(build(*key))))
+
+
+@_table_cache(maxsize=None)
 def _root_binomials(n: int) -> np.ndarray:
     """sqrt(C(n, i)) for i = 0 .. n, read-only, from float binomials (C(n, i) overflows int64 from n = 68)."""
-    b = np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
-    b.setflags(write=False)
-    return b
+    return np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,7 @@ class ExactCoefficient:
 _ZERO = ExactCoefficient(0, Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@_table_cache(maxsize=None)
 def _cg_doubled(dj1: int, dj2: int, dj: int, dm1: int, dm2: int, dm: int) -> ExactCoefficient:
     if dm1 + dm2 != dm:
         return _ZERO
@@ -192,15 +206,6 @@ def cg_value(j1, j2, j, m1, m2, m) -> float:
     return float(cg(j1, j2, j, m1, m2, m))
 
 
-@lru_cache(maxsize=None)
-def _ladder_weights() -> np.ndarray:
-    """R[a, b] = sqrt((a + 1)(b + 1)) for a, b < _MAX_DOUBLED_ARG, read-only."""
-    n = np.arange(1.0, _MAX_DOUBLED_ARG + 1)
-    r = np.sqrt(np.outer(n, n))
-    r.setflags(write=False)
-    return r
-
-
 def _d_ladder(dj_max: int, beta: float):
     """Yield d^{dj/2}(beta) for dj = 0 .. dj_max, rows and columns m = +j .. -j.
 
@@ -209,11 +214,12 @@ def _d_ladder(dj_max: int, beta: float):
     cos(beta/2), sin(beta/2), weighted by the stretched Clebsch-Gordan
     products sqrt((j +- m')(j +- m)) / 2j.  Square roots of the products
     keep the weights exact integers at beta = 0, so d(0) is the identity.
-    Every step's weights are sub-blocks, some reversed, of one cached table
-    of sqrt((a + 1)(b + 1)), so no step takes a square root.
+    Every step's weights are sub-blocks, some reversed, of one table of
+    sqrt((a + 1)(b + 1)) per ladder, so no step takes a square root.
     """
     p, q = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    r = _ladder_weights()
+    n = np.arange(1.0, dj_max + 1)
+    r = np.sqrt(np.outer(n, n))
     d = np.ones((1, 1))
     yield d
     for dj in range(1, dj_max + 1):

@@ -49,14 +49,13 @@ judged.  A rank over its bound raises ``ConsistencyError``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .angular import _check_angles, _root_binomials, _scaled_direction
+from .angular import _check_angles, _root_binomials, _scaled_direction, _table_cache
 from .errors import ConsistencyError, DomainError
 from .halfint import HalfInt, _index
 from .tensors import TensorParams, _rank_layout
@@ -169,19 +168,20 @@ class _Layout:
     starts: np.ndarray  # first entry of each rank
     axis_rank: np.ndarray  # rank of each axis row
     pairs: np.ndarray  # every two axis rows a < b of one rank, rank by rank
+    segments: tuple  # _segments(ranks), read when a caller hands over ranks itself
 
     @staticmethod
     def axes(k: int) -> slice:
         return slice(k * (k - 1) // 2, k * (k + 1) // 2)
 
 
-@functools.lru_cache(maxsize=None)
+@_table_cache(maxsize=None)
 def _layout(top: int) -> _Layout:
     k, q, _, _ = _rank_layout(top)
     ranks = np.arange(top + 1)
     axis_rank = np.repeat(ranks, ranks)
     first = ranks * (ranks - 1) // 2
-    layout = _Layout(
+    return _Layout(
         ranks=ranks,
         k=k,
         q=q,
@@ -190,10 +190,8 @@ def _layout(top: int) -> _Layout:
         starts=ranks * ranks,
         axis_rank=axis_rank,
         pairs=np.concatenate([np.stack(np.triu_indices(r, 1), axis=1) + first[r] for r in ranks.tolist()]),
+        segments=_segments(ranks),
     )
-    for a in vars(layout).values():
-        a.setflags(write=False)
-    return layout
 
 
 def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
@@ -336,7 +334,7 @@ def _residual_floors(coeffs, z: np.ndarray, ks: np.ndarray, layout: _Layout) -> 
     Beyond the unit circle both sums are taken at 1/Z on the reversed
     coefficients (the binomials are symmetric), so Z = inf gives |t^k_{-k}|.
     """
-    entries, owner, starts = _segments(ks)
+    entries, owner, starts = layout.segments if ks is layout.ranks else _segments(ks)
     outer = np.abs(z) > 1.0
     k, q = layout.k[entries], layout.q[entries]
     powers = np.vander(np.where(outer, 1.0 / np.where(outer, z, 1.0), z), 2 * layout.ranks[-1] + 1, increasing=True)
@@ -500,7 +498,7 @@ def _rebuilt(flat: np.ndarray, directions: np.ndarray, ks: np.ndarray, layout: _
     """
     # row r reads ks[-1] axis rows from rank ks[r]'s first; those past its k belong to the next ranks and go unread
     units = directions[(ks * (ks - 1) // 2)[:, None] + np.arange(ks[-1])]
-    entries, owner, starts = _segments(ks)
+    entries, owner, starts = layout.segments if ks is layout.ranks else _segments(ks)
     k, q = layout.k[entries], layout.q[entries]
     s = _stretched_rows(units, ks)[owner, k + q] / layout.binomials[entries]
     return _fit(flat[entries], s, starts, owner)

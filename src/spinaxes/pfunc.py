@@ -62,12 +62,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .angular import MAX_DEGREE, _check_angles, _legendre_table, _root_binomials
+from .angular import MAX_DEGREE, _check_angles, _freeze, _legendre_table, _root_binomials, _table_cache
 from .errors import DomainError, NonClassicalWarning, ValidationError
 from .halfint import HalfInt, _index
 from .tensors import SpinDensityMatrix, TensorParams, _order_block, _spin
@@ -101,7 +100,7 @@ def multipole_scale(j, k: int) -> float:
     return float(_multipole_scales(j.doubled)[_index(k, "rank k", 0, j.doubled)])
 
 
-@lru_cache(maxsize=None)
+@_table_cache(maxsize=None)
 def _multipole_scales(dj: int) -> np.ndarray:
     """Read-only c_k for k = 0 .. 2j: sqrt(4 pi) N! sqrt(N+1) / sqrt((N-k)! (N+k+1)!), N = 2j.
 
@@ -109,9 +108,7 @@ def _multipole_scales(dj: int) -> np.ndarray:
     """
     f = math.factorial
     ratios = [Fraction(f(dj) ** 2 * (dj + 1), f(dj - k) * f(dj + k + 1)) for k in range(dj + 1)]
-    scales = np.array([math.sqrt(4 * math.pi * r) for r in ratios])
-    scales.setflags(write=False)
-    return scales
+    return np.array([math.sqrt(4 * math.pi * r) for r in ratios])
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +128,7 @@ class QuadratureGrid:
             a = np.array(getattr(self, name), dtype=float)  # a copy: the caller's array stays theirs
             if a.ndim != 1 or not len(a) or not np.isfinite(a).all():
                 raise ValidationError(f"{name} must be a non-empty 1-d array of finite values")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(a))
         if self.theta.shape != self.theta_weights.shape:
             raise ValidationError("theta nodes and weights differ in length")
         # weights() holds for the uniform nodes 2 pi p / n_phi alone
@@ -287,19 +283,17 @@ def _values_on_grid(lam, grid: QuadratureGrid) -> np.ndarray:
     return vals.real
 
 
-@lru_cache(maxsize=32)
+@_table_cache(maxsize=32)
 def _grid_legendre_table(grid: QuadratureGrid, l_max: int) -> np.ndarray:
     """Read-only ``_legendre_table`` on a grid's theta nodes, built once per (grid, l_max).
 
     Grids hash by identity.  Like ``_exact_grid``'s, the cache is bounded,
     so a stream of large grids cannot pin their tables.
     """
-    table = _legendre_table(l_max, grid.theta)
-    table.setflags(write=False)
-    return table
+    return _legendre_table(l_max, grid.theta)
 
 
-@lru_cache(maxsize=32)
+@_table_cache(maxsize=32)
 def _phases(grid: QuadratureGrid, n: int) -> np.ndarray:
     """Read-only e^{-i p phi} at a grid's phi nodes, [node, p + n] for |p| <= n, built once per (grid, n).
 
@@ -308,20 +302,15 @@ def _phases(grid: QuadratureGrid, n: int) -> np.ndarray:
     sums of ``rho_from_distribution`` as it is.  Bounded like
     ``_grid_legendre_table``.
     """
-    phases = np.exp(-1j * np.outer(grid.phi, np.arange(-n, n + 1)))
-    phases.setflags(write=False)
-    return phases
+    return np.exp(-1j * np.outer(grid.phi, np.arange(-n, n + 1)))
 
 
-@lru_cache(maxsize=32)
+@_table_cache(maxsize=32)
 def _state_indices(dj: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of ``rho_from_distribution`` at spin dj/2: the powers s and 2 dj - s of
     sin and cos (a column), and the flat index of H[s, p + 2j] at s = a + c, p = c - a."""
     s, a = np.arange(2 * dj + 1)[:, None], np.arange(dj + 1)
-    tables = s, 2 * dj - s, (a[:, None] + a) * (2 * dj + 1) + a - a[:, None] + dj
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return s, 2 * dj - s, (a[:, None] + a) * (2 * dj + 1) + a - a[:, None] + dj
 
 
 def _analysis(w: np.ndarray, grid: QuadratureGrid, l_max: int) -> np.ndarray:
@@ -350,7 +339,7 @@ def default_grid(l_max: int, j) -> QuadratureGrid:
     return QuadratureGrid.for_band_limit(_index(l_max, "l_max", 0, MAX_DEGREE) + _spin(j).doubled)
 
 
-@lru_cache(maxsize=32)
+@_table_cache(maxsize=32)
 def _exact_grid(band_limit: int) -> QuadratureGrid:
     """The smallest product grid exact through the given degree b, built once per b.
 

@@ -50,14 +50,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 from typing import Mapping
 
 import numpy as np
 import warnings
 
-from .angular import MAX_DOUBLED_J, _check_angles, _d_ladder
+from .angular import MAX_DOUBLED_J, _check_angles, _d_ladder, _freeze, _table_cache
 from .errors import DomainError, NonPhysicalWarning, ValidationError
 from .halfint import HalfInt, _index, dimension, halfint
 
@@ -73,15 +73,12 @@ def _first_rank(bad: np.ndarray) -> int | None:
     return math.isqrt(int(bad.argmax())) if bad.any() else None
 
 
-@lru_cache(maxsize=None)
+@_table_cache(maxsize=None)
 def _rank_layout(top: int) -> tuple:
     """Read-only k, q, index of x^k_-q and sign (-1)^q of each entry of the flat layout of ranks 0 .. top."""
     k = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
     q = np.arange((top + 1) ** 2) - k * k - k
-    layout = k, q, k * k + k - q, (-1.0) ** q
-    for a in layout:
-        a.setflags(write=False)
-    return layout
+    return k, q, k * k + k - q, (-1.0) ** q
 
 
 def _split(flat: np.ndarray) -> tuple:
@@ -105,8 +102,7 @@ def _checked_flat(
     bad = _first_rank(np.abs(flat - sign * flat[mirror].conj()) > TENSOR_TOL)
     if bad is not None:
         raise ValidationError(f"{noun} {bad} violates {identity}")
-    flat.setflags(write=False)
-    return flat
+    return _freeze(flat)
 
 
 def _checked_blocks(blocks, noun: str, identity: str, normalized: bool = False) -> np.ndarray:
@@ -198,8 +194,7 @@ class SpinDensityMatrix:
             raise ValidationError("matrix fails hermiticity within 1e-12")
         if abs(m.trace() - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is {m.trace():.6g}, expected 1 within 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _freeze(m))
 
     @property
     def dim(self) -> int:
@@ -325,14 +320,13 @@ def _order_block(dj: int, p: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
+@_table_cache(maxsize=None)
 def _order_stack(dj: int) -> np.ndarray:
     """Read-only S[p, k, c] = _order_block(dj, p)[k - p, c], zero for k < p or c > 2j - p."""
     dim = dj + 1
     stack = np.zeros((dim, dim, dim))
     for p in range(dim):
         stack[p, p:, : dim - p] = _order_block(dj, p)
-    stack.setflags(write=False)
     return stack
 
 
@@ -397,7 +391,7 @@ def t_to_rho(t: TensorParams) -> SpinDensityMatrix:
 _TURN_CLASS = 8
 
 
-@lru_cache(maxsize=8)
+@_table_cache(maxsize=8)
 def _turn_plan(k_max: int) -> tuple:
     """(where, size, classes): ``rotate_t``'s plan for ranks 0 .. k_max, W = _TURN_CLASS ranks a class.
 
@@ -414,7 +408,6 @@ def _turn_plan(k_max: int) -> tuple:
     start = np.cumsum(count * width) - count * width
     c = k // _TURN_CLASS
     where = start[c] + (k - lo[c]) * width[c] + hi[c] - q
-    where.setflags(write=False)
     ladder = islice(_d_ladder(2 * k_max, math.pi / 2), None, None, 2)
     buffer = np.zeros(int((count * width**2).sum()))
     classes, used = [], 0
@@ -423,9 +416,7 @@ def _turn_plan(k_max: int) -> tuple:
         used += delta.size
         for rank in range(first, first + n):
             delta[rank - first, h - rank : h + rank + 1, h - rank : h + rank + 1] = next(ladder)
-        delta.setflags(write=False)
         classes.append((slice(s, s + n * w), n, w, h, delta))
-    buffer.setflags(write=False)
     return where, int((count * width).sum()), tuple(classes)
 
 

@@ -7,6 +7,7 @@ each test rather than shared.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -306,3 +307,19 @@ def test_criterion_8_harmonic_squares_are_zonal_with_collinear_axes():
                         for axis in rd.axes:
                             assert abs(math.sin(axis.theta)) < 1e-9
                 assert collinearity_check(dec)
+
+
+@pytest.mark.parametrize("dj", [2, 6, 12, 24, 40, 60])
+def test_criterion_9_phi_independent_distributions_are_uniaxial(dj):
+    # lambda = sum_l a_l Y^l_0 with a_0 = 1/sqrt(4 pi) and sum_{l >= 1} |a_l| sqrt((2l + 1)/4 pi) = 1/(8 pi),
+    # so lambda >= 1/(8 pi) everywhere: every axis of every rank lies exactly on z
+    for seed in range(5):
+        for l_max in sorted({1, 2, min(dj, 8), dj}):
+            a = np.random.default_rng(seed).normal(size=l_max)
+            a /= 8.0 * math.pi * np.sum(np.abs(a) * np.sqrt((2.0 * np.arange(1, l_max + 1) + 1.0) / (4.0 * math.pi)))
+            table = {(0, 0): 1.0 / math.sqrt(4.0 * math.pi), **{(l, 0): a[l - 1] for l in range(1, l_max + 1)}}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dec = extract_mar(t_from_distribution(SphericalExpansion.from_table(l_max, table), h(dj)))
+            assert all(axis.theta == 0.0 for rank in dec.ranks for axis in rank.axes), (seed, l_max)
+            assert collinearity_check(dec), (seed, l_max)

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,6 @@ from scipy.special import sph_harm_y
 from spinaxes.angular import (
     ExactCoefficient,
     _d_ladder,
-    _ladder_weights,
     _root_binomials,
     cg,
     cg_value,
@@ -18,6 +20,8 @@ from spinaxes.angular import (
     wigner_d,
     wigner_d_matrix,
 )
+import spinaxes
+from spinaxes import QuadratureGrid, SpinDensityMatrix, TensorParams, angular, axes, pfunc, tensors
 from spinaxes.errors import DomainError
 from spinaxes.halfint import HalfInt, m_range
 
@@ -201,16 +205,10 @@ class TestWignerD:
             assert np.abs(wigner_d_matrix(h(dj), 0.0) - np.eye(dj + 1)).max() == 0.0
 
     def test_one_ladder_pass_at_beta_zero_is_exactly_identity(self):
-        # the cached weights are exact integers wherever d(0) needs them
+        # each ladder's weights are exact integers wherever d(0) needs them
         for dj, d in enumerate(_d_ladder(120, 0.0)):
             assert np.abs(d - np.eye(dj + 1)).max() == 0.0
         assert dj == 120
-
-    def test_ladder_weights_are_read_only(self):
-        r = _ladder_weights()
-        assert r.shape == (120, 120) and not r.flags.writeable
-        with pytest.raises(ValueError):
-            r[0, 0] = 2.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_is_rejected(self, bad):
@@ -268,6 +266,63 @@ class TestRootBinomials:
             c = np.array([float(math.comb(n, i)) for i in range(n + 1)])
             assert not b.flags.writeable and _root_binomials(n) is b
             assert (np.abs(b**2 - c) <= np.spacing(c)).all()
+
+
+def _reachable_arrays(x):
+    """Every array reachable from x through tuples, dataclass fields and array bases."""
+    if isinstance(x, np.ndarray):
+        return [x] + _reachable_arrays(x.base)
+    if dataclasses.is_dataclass(x):
+        x = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    return [a for item in x for a in _reachable_arrays(item)] if isinstance(x, tuple) else []
+
+
+class TestTableCache:
+    """Every cached table goes through ``angular._table_cache``, which freezes
+    it once when built, down to the buffers its arrays share."""
+
+    @staticmethod
+    def _keys():
+        grid = QuadratureGrid.build(3, 5)
+        return {
+            angular._root_binomials: (4,),
+            angular._cg_doubled: (2, 2, 2, 2, -2, 0),
+            tensors._rank_layout: (3,),
+            tensors._order_stack: (3,),
+            tensors._turn_plan: (9,),
+            axes._layout: (3,),
+            pfunc._multipole_scales: (3,),
+            pfunc._grid_legendre_table: (grid, 3),
+            pfunc._phases: (grid, 3),
+            pfunc._state_indices: (3,),
+            pfunc._exact_grid: (4,),
+        }
+
+    def test_every_cache_is_in_the_list(self):
+        modules = [importlib.import_module(m.name) for m in pkgutil.iter_modules(spinaxes.__path__, "spinaxes.")]
+        cached = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")}
+        assert cached == set(self._keys())
+
+    def test_every_reachable_array_is_read_only(self):
+        for build, key in self._keys().items():
+            arrays = _reachable_arrays(build(*key))
+            assert arrays or build is angular._cg_doubled, build.__name__
+            for a in arrays:
+                assert not a.flags.writeable, build.__name__
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    def test_a_callers_arrays_stay_writable(self):
+        stock = np.zeros(16, dtype=complex)
+        stock[[0, 4, 8]] = 1.0 / 3.0
+        rho = stock[:9].reshape(3, 3)
+        theta, phi, weights = np.array([0.5, 2.0]), np.array([0.0, math.pi]), np.array([2.0, 2.0])
+        blocks = (np.ones(1, dtype=complex), np.zeros(3, dtype=complex), np.zeros(5, dtype=complex))
+        SpinDensityMatrix(HalfInt(2), rho)
+        QuadratureGrid(theta, phi, weights)
+        TensorParams(HalfInt(2), blocks)
+        for a in (stock, rho, theta, phi, weights, *blocks):
+            assert a.flags.writeable
 
 
 class TestSphericalHarmonic:
