@@ -283,6 +283,10 @@ def _legendre_table(l_max: int, theta: np.ndarray, orders=None) -> np.ndarray:
     m = np.arange(l_max + 1) if orders is None else np.asarray(orders)
     table = np.zeros((l_max + 1, len(m), len(theta)))
     sectoral = np.full(len(theta), 1.0 / math.sqrt(4 * math.pi))
+    # the weights a and a b of every degree (row) and order; at m >= l they go unread, clamped to stay finite
+    n = np.arange(l_max + 1)[:, None]
+    a = np.sqrt(np.maximum(4 * n * n - 1, 0) / np.maximum(n * n - m**2, 1))[:, :, None]
+    ab = a * np.sqrt(np.maximum((n - 1) ** 2 - m**2, 0) / (4 * (n - 1) ** 2 - 1))[:, :, None]
     for l in range(l_max + 1):
         if l:
             sectoral = sectoral * (-math.sqrt((2 * l + 1) / (2 * l)) * s)
@@ -290,11 +294,9 @@ def _legendre_table(l_max: int, theta: np.ndarray, orders=None) -> np.ndarray:
         if k < len(m) and m[k] == l:
             table[l, k] = sectoral
         if k:
-            a = np.sqrt((4 * l * l - 1) / (l * l - m[:k] ** 2))[:, None]
-            table[l, :k] = a * x * table[l - 1, :k]
+            table[l, :k] = a[l, :k] * x * table[l - 1, :k]
             if l > 1:
-                b = np.sqrt(((l - 1) ** 2 - m[:k] ** 2) / (4 * (l - 1) ** 2 - 1))[:, None]
-                table[l, :k] -= a * b * table[l - 2, :k]
+                table[l, :k] -= ab[l, :k] * table[l - 2, :k]
     return table
 
 

@@ -27,9 +27,9 @@ except the companion solve, which runs per rank:
    vanishing there, so its residual is at least the floor
    |P_k(Z)| / sum_i sqrt(C(2k, i)) |Z|^(2k-i); only ranks whose floor passes
    build the k-fold fit.  The floor only skips trials, never accepts one.
-2. Root pass.  Every other nonzero rank solves its companion matrix once;
-   the companion rows come from one table, and one stacked Gram matrix
-   pairs every rank's roots by nearest antipode; each pair is one axis.
+2. Root pass.  Every other nonzero rank solves its companion matrix once
+   (``_roots``, which ``polynomial_roots`` calls with one row); one stacked
+   Gram matrix pairs every rank's roots by nearest antipode, each pair one axis.
    Axes of one rank within 0.5 rad join, nearest first, and every join of
    the table gets its mean root and the same floor at once.  Joins whose
    floor passes are tried in waves, wave i fitting every rank's i-th such
@@ -211,35 +211,34 @@ def polynomial_roots(coeffs) -> tuple[list[tuple[complex, int]], int]:
         raise DomainError("need a coefficient vector of degree at least one")
     if not c.any():
         raise DomainError("the zero polynomial has no root set")
-    first, lead, last = _companions(c[None])
-    companion = np.eye(last[0] - lead[0], k=-1, dtype=complex)
-    companion[:1] = first[0, : len(companion)]
-    raw = np.concatenate([np.linalg.eigvals(companion), np.zeros(len(c) - 1 - last[0], dtype=complex)])
-    merged, left = [], raw
+    raw = _roots(c[None], np.array([len(c) - 1]))[0]
+    merged, left = [], raw[np.isfinite(raw)]
     while len(left):
         near = np.abs(left - left[0]) <= ROOT_CLUSTER_RTOL * np.maximum(np.abs(left), max(1.0, abs(left[0])))
         merged.append((complex(np.mean(left[near])), int(near.sum())))
         left = left[~near]
-    return merged, len(c) - 1 - len(raw)
+    return merged, int(np.isinf(raw).sum())
 
 
-def _companions(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First companion rows of nonzero polynomials (rows of ``table``, highest degree first).
+def _roots(table: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Roots of nonzero polynomials, row r of ``table`` (highest degree first) of degree degrees[r], zero-padded past it.
 
-    Each row is divided by its largest coefficient, so a leading one below
-    the float range counts as zero; row r drops its ``lead[r]`` leading
-    coefficients (roots at infinity) and keeps coefficients up to
-    ``last[r]``, its last nonzero one (the rest are roots at zero).  Its
-    companion matrix, the one ``np.roots`` builds, has the first row
-    ``first[r, :last[r] - lead[r]]``.
+    Rows are divided by their largest coefficient, so a leading one below the
+    float range counts as zero.  Row r gets the eigenvalues of its companion
+    matrix (the one ``np.roots`` builds, the top-left block of one reused
+    matrix), then a zero per trailing zero coefficient, then inf per dropped
+    leading coefficient and per column past its degree.
     """
     c = table / np.abs(table).max(axis=1)[:, None]
     width = c.shape[1]
     lead = np.argmax(np.abs(c) >= np.finfo(float).tiny, axis=1)
     last = width - 1 - np.argmax(c[:, ::-1] != 0, axis=1)
-    row = np.arange(len(c))
-    index = np.minimum(lead[:, None] + np.arange(1, width), width - 1)
-    return -c[row[:, None], index] / c[row, lead][:, None], lead, last
+    roots = np.where(np.arange(width - 1) < (degrees - lead)[:, None], 0j, complex(math.inf))
+    companion = np.eye(width - 1, k=-1, dtype=complex)
+    for z, row, a, n in zip(roots, c, lead.tolist(), (last - lead).tolist()):
+        companion[0, :n] = -row[a + 1 : a + 1 + n] / row[a]
+        z[:n] = np.linalg.eigvals(companion[:n, :n])
+    return roots
 
 
 def _sphere_points(z: np.ndarray) -> np.ndarray:
@@ -421,8 +420,8 @@ def _joins(z, points, pairs, directions, chosen, layout: _Layout) -> tuple[list,
 def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layout: _Layout) -> None:
     """Axes of the ranks ks from the roots of their polynomials, into their rows of ``directions``.
 
-    Only the companion solve runs per rank.  Over the table: the companion
-    rows, a root table padded with roots at infinity, the pairing, the
+    Only the companion solve, in ``_roots``, runs per rank.  Over the table:
+    a root table padded with roots at infinity, the pairing, the
     axes, and the joins of close axes with their mean roots and residual
     floors.  Joins come rank by rank, so wave i holds each rank's i-th join
     whose floor is within its rank's bound; a wave is fitted at once, and a
@@ -432,12 +431,7 @@ def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layo
     """
     col = np.arange(2 * ks[-1] + 1)
     index = np.where(col <= 2 * ks[:, None], layout.starts[ks, None] + col, len(coeffs))
-    first, lead, last = _companions(np.append(coeffs, 0.0)[index])
-    z = np.where(col[:-1] < (2 * ks - lead)[:, None], 0j, complex(math.inf))
-    companion = np.eye(len(col) - 1, k=-1, dtype=complex)  # each rank's is its top-left block, first row rewritten
-    for roots, row, n in zip(z, first, (last - lead).tolist()):
-        companion[0, :n] = row[:n]
-        roots[:n] = np.linalg.eigvals(companion[:n, :n])
+    z = _roots(np.append(coeffs, 0.0)[index], 2 * ks)
     stack = _sphere_points(z)
     pairs = np.zeros((len(directions), 2), dtype=int)
     chosen = np.zeros(len(layout.ranks), dtype=bool)
@@ -445,7 +439,7 @@ def _root_pass(flat, coeffs, bound, ks: np.ndarray, directions: np.ndarray, layo
     rows = np.flatnonzero(chosen[layout.axis_rank])
     pairs[rows] = found = _antipodal_pairs(stack, 2 * ks)
     points, z = stack.reshape(-1, 3), z.ravel()
-    units = points[found[:, 0]] - points[found[:, 1]]
+    units = _pair_vectors(points, found)[0]
     directions[rows] = units / np.linalg.norm(units, axis=1)[:, None]
     joins, join_ranks, means = _joins(z, points, pairs, directions, chosen, layout)
     if not joins:

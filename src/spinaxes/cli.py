@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when an internal self-test or consistency
 check fails, 2 when input fails validation.  Human-readable output prints
-numbers with 9 significant digits; --json emits machine-readable documents
-that reload exactly through the file loaders.
+numbers with 9 significant digits; --json emits machine-readable documents.
+Those of ensemble and t2rho (state) and rho2t (tensor) reload exactly through
+the file loaders; no loader reads those of the other commands.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ def _write_plot(path: str, m, tol: float) -> None:
             u = axis.unit_vector
             cells = [str(entry.rank)] + [_fmt(v) for v in u] + [_fmt(v) for v in -u]
             lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _tensor_text(t, clean=float) -> None:

@@ -77,12 +77,12 @@ def parse_angle(value) -> float:
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # ValueError holds undecodable bytes and integers past Python's digit limit too
+        obj = json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")

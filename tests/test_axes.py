@@ -1086,3 +1086,34 @@ class TestOneAcceptanceRule:
         # both raise today, naming the rank: the octahedron's rank 10 at 1.31x its
         # bound, the tetrahedron's rank 3 at 2.2e4x
         _decomposes_within_bound(_platonic_table(name, n))
+
+
+class TestKnownAnswerTables:
+    """Tables built from chosen axes and radii come back as those axes and radii."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dj", [6, 12, 24, 40, 60])
+    def test_chosen_axes_and_radii_come_back(self, dj, seed):
+        # rank k: k Gaussian directions, and a radius of random sign that puts the block's largest entry in [0.05, 1]
+        rng = np.random.default_rng(7700 + 10 * dj + seed)
+        blocks, known = [np.ones(1, dtype=complex)], {}
+        for k in range(1, dj + 1):
+            chosen = [Axis.from_direction(u) for u in rng.normal(size=(k, 3))]
+            s = axes_to_tensor(chosen, k)
+            r = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0) / np.abs(s).max()
+            blocks.append(r * s)
+            known[k] = (np.array([a.unit_vector for a in chosen]), r)
+        m = extract_mar(TensorParams(h(dj), tuple(blocks)))
+        assert [entry.rank for entry in m.ranks] == list(range(1, dj + 1))
+        for entry in m.ranks:
+            want, r = known[entry.rank]
+            assert abs(entry.sign * entry.radius - r) <= 1e-10 * abs(r), entry.rank
+            # every returned axis takes the nearest free known axis, within 1e-8 rad as unoriented lines
+            v = np.array([axis.unit_vector for axis in entry.axes])
+            angles = np.arctan2(np.linalg.norm(np.cross(v[:, None], want[None]), axis=2), np.abs(v @ want.T))
+            free = np.ones(len(want), dtype=bool)
+            for row in angles:
+                best = int(np.argmin(np.where(free, row, np.inf)))
+                assert row[best] <= 1e-8, (entry.rank, row[best])
+                free[best] = False
+            assert not free.any()

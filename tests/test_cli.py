@@ -191,6 +191,12 @@ HUGE_TENSOR = {"schema_version": 1, "j_doubled": 100000, "entries": []}
 HUGE_EXPANSION = {"schema_version": 1, "l_max": 100000000, "coeffs": []}
 # the ladder-basis matrix of this many qubits would take 142 PiB
 HUGE_ENSEMBLE = {"schema_version": 1, "n_qubits": 100000000, "terms": [{"weight": 1.0, "theta": 0.0, "phi": 0.0}]}
+# raw bytes that json.loads rejects: not UTF-8 (b"\xff\xfe" reads as a UTF-16 mark), nested past the
+# recursion limit, and an integer past Python's 4300-digit limit
+NOT_UTF8 = b"\xff\xfe{}"
+LATIN1_STATE = b'{"schema_version": 1, "j_doubled": 1, "matrix": "\xe9"}'
+DEEP_ARRAY = b"[" * 200000 + b"]" * 200000
+LONG_INTEGER = b'{"schema_version": 1, "j_doubled": ' + b"1" * 5000 + b', "matrix": []}'
 
 
 class TestMalformedFiles:
@@ -207,14 +213,21 @@ class TestMalformedFiles:
             ("mar", HUGE_TENSOR),
             ("ensemble", HUGE_ENSEMBLE),
             ("mar", HUGE_ENSEMBLE),
+            ("rho2t", NOT_UTF8),
+            ("mar", LATIN1_STATE),
+            ("t2rho", DEEP_ARRAY),
+            ("mar", DEEP_ARRAY),
+            ("rho2t", LONG_INTEGER),
+            ("mar", LONG_INTEGER),
         ],
         ids=["nan-rho2t", "nan-mar", "neg-state-rho2t", "neg-state-mar",
              "neg-tensor-t2rho", "neg-tensor-mar", "huge-tensor-t2rho", "huge-tensor-mar",
-             "huge-ensemble-ensemble", "huge-ensemble-mar"],
+             "huge-ensemble-ensemble", "huge-ensemble-mar", "not-utf8-rho2t", "latin1-mar",
+             "deep-array-t2rho", "deep-array-mar", "long-integer-rho2t", "long-integer-mar"],
     )
     def test_one_error_line_and_exit_2(self, tmp_path, command, doc):
         p = tmp_path / "input.json"
-        p.write_text(json.dumps(doc))
+        p.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         res = run_cli(command, str(p), expect=2, memory_limit=2 << 30)
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
@@ -247,6 +260,22 @@ class TestMalformedFiles:
         res = run_cli("pfunc", "uniform", "--j", j, expect=2, memory_limit=2 << 30)
         assert res.stdout == ""
         assert res.stderr.startswith("error: j ")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [(["mar", "ENSEMBLE"], "missing/axes.csv"), (["pfunc", "uniform", "--j", "1"], ".")],
+        ids=["mar-missing-directory", "pfunc-directory"],
+    )
+    def test_emit_plot_that_cannot_be_written(self, tmp_path, command, target):
+        # one line naming the path, and nothing on stdout: the plot is written before any report
+        ens = tmp_path / "ens.json"
+        ens.write_text(json.dumps({"schema_version": 1, "n_qubits": 2, "terms": [{"weight": 1.0, "theta": 0.0, "phi": 0.0}]}))
+        plot = str(tmp_path / target)
+        res = run_cli(*[str(ens) if a == "ENSEMBLE" else a for a in command], "--emit-plot", plot, expect=2)
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: cannot write {plot}: ")
         assert res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
 
