@@ -60,6 +60,14 @@ class TestStateFile:
         assert back.j == rho.j
         assert np.array_equal(back.matrix, rho.matrix)
 
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
+    def test_a_byte_order_mark_or_wide_encoding_loads(self, tmp_path, encoding):
+        # json.loads on the raw bytes detects the encoding; a UTF-8 BOM is skipped, not an error
+        rho = maximally_mixed(h(2))
+        p = tmp_path / "state.json"
+        p.write_bytes(json.dumps(dump_state(rho)).encode(encoding))
+        assert np.array_equal(load_state(p).matrix, rho.matrix)
+
     def test_dimension_mismatch(self, tmp_path):
         doc = dump_state(maximally_mixed(h(2)))
         doc["j_doubled"] = 3
